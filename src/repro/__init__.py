@@ -84,14 +84,14 @@ from repro.io import (
     load_blockmodel,
 )
 from repro.sampling import (
+    SAMPLERS,
     SampledGraph,
-    available_samplers,
     sample_graph,
 )
 from repro.diagnostics import SweepTrace, trace_from_result, run_health
 from repro.parallel import (
+    BACKENDS,
     get_backend,
-    available_backends,
     SimulatedThreadModel,
 )
 from repro.resilience import (
@@ -162,16 +162,16 @@ __all__ = [
     "save_blockmodel",
     "load_blockmodel",
     # sampling
+    "SAMPLERS",
     "SampledGraph",
-    "available_samplers",
     "sample_graph",
     # diagnostics
     "SweepTrace",
     "trace_from_result",
     "run_health",
     # parallel
+    "BACKENDS",
     "get_backend",
-    "available_backends",
     "SimulatedThreadModel",
     # resilience
     "RunCheckpointer",

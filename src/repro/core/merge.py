@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.variants import SBPConfig
 from repro.graph.graph import Graph
-from repro.parallel.backend import get_merge_backend
+from repro.parallel.backend import MERGE_BACKENDS
 from repro.sbm.blockmodel import Blockmodel
 from repro.utils.rng import philox_stream
 from repro.utils.timer import StopwatchPool
@@ -56,7 +56,7 @@ def block_merge_phase(
     uniforms = rng.random((C, proposals, 4))
 
     timers = timers if timers is not None else StopwatchPool()
-    backend = get_merge_backend(config.merge_backend)
+    backend = MERGE_BACKENDS.get(config.merge_backend)()
     with timers.section("merge_scan"):
         best_delta, best_target = backend.evaluate_merges(bm, uniforms)
 

@@ -104,24 +104,6 @@ def run_sbp(
     return FitSession(graph, config, checkpointer).cold_fit()
 
 
-def _run_search(
-    graph: Graph,
-    config: SBPConfig,
-    checkpointer: RunCheckpointer | None = None,
-    *,
-    warm_start: Blockmodel | None = None,
-    min_blocks: int = 1,
-) -> SBPResult:
-    """Back-compat shim over :meth:`FitSession.run` (the old engine name).
-
-    ``config.block_storage`` must already be resolved to a concrete
-    engine, exactly as before — :class:`FitSession` re-resolving a
-    concrete name is a no-op.
-    """
-    session = FitSession(graph, config, checkpointer)
-    return session.run(warm_start=warm_start, min_blocks=min_blocks)
-
-
 def run_best_of(
     graph: Graph,
     config: SBPConfig | None = None,

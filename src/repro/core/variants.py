@@ -65,7 +65,7 @@ class SBPConfig:
         Fraction of blocks retained per agglomerative step (0.5 halves).
     backend:
         Execution backend for async sweeps: 'serial', 'vectorized',
-        'process', a 'resilient:<inner>' wrapper, or
+        a 'resilient:<inner>' wrapper, or
         'distributed:<transport>:<ranks>' for the sharded runtime (all
         bit-identical; see :mod:`repro.distributed.runtime`).
     backend_options:
@@ -169,9 +169,9 @@ class SBPConfig:
             # Not one of the four canonical names: accept any variant the
             # engine registry knows (plan-only variants like 'tiered').
             # Imported lazily -- the engine depends on this module.
-            from repro.mcmc.engine import get_variant_spec
+            from repro.mcmc.engine import VARIANTS
 
-            self.variant = get_variant_spec(str(self.variant)).name
+            self.variant = VARIANTS.get(str(self.variant)).name
         if not 0.0 <= self.vstar_fraction <= 1.0:
             raise ValueError("vstar_fraction must lie in [0, 1]")
         if not 0.0 <= self.tier_split <= 1.0:
@@ -196,9 +196,9 @@ class SBPConfig:
             raise ValueError("extension_batches must be >= 1")
         # Validated against the sampler registry (leaf module; the
         # sampling pipeline itself is imported lazily by run_sbp).
-        from repro.sampling.samplers import get_sampler
+        from repro.sampling.samplers import SAMPLERS
 
-        self.sampler = get_sampler(self.sampler).name
+        self.sampler = SAMPLERS.get(self.sampler).name
         if self.shard_loss_policy not in ("recover", "degrade", "fail"):
             raise ValueError(
                 "shard_loss_policy must be 'recover', 'degrade' or 'fail', "
@@ -213,15 +213,15 @@ class SBPConfig:
         # accepted; imported lazily (leaf module, no cycle risk). The
         # "auto" policy name is legal here and resolved to a concrete
         # engine at run entry (it needs the graph's size).
-        from repro.sbm.block_storage import AUTO_STORAGE, available_block_storages
+        from repro.sbm.block_storage import AUTO_STORAGE, BLOCK_STORAGES
 
         if (
             self.block_storage != AUTO_STORAGE
-            and self.block_storage not in available_block_storages()
+            and self.block_storage not in BLOCK_STORAGES
         ):
             raise ValueError(
                 "block_storage must be one of "
-                f"{available_block_storages() + [AUTO_STORAGE]}, "
+                f"{BLOCK_STORAGES.names() + [AUTO_STORAGE]}, "
                 f"got {self.block_storage!r}"
             )
 

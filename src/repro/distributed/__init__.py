@@ -3,28 +3,17 @@
 The conclusion asks "how best to distribute A-SBP and H-SBP in order to
 further speed up the algorithms and enable processing of graphs that are
 too large to fit in memory on a single computational node." This package
-prototypes that design on a *simulated* message-passing runtime
-(DESIGN.md §4: no MPI and one core here, so ranks execute round-robin
-under virtual clocks):
+runs A-SBP sweeps sharded over N ranks (the EDiSt layout: a replicated
+blockmodel, owned-vertex evaluation, deltas gathered at the barrier):
 
-* :mod:`repro.distributed.comm` — rank-addressed point-to-point and
-  collective operations with a latency/bandwidth cost model and
-  per-rank virtual time;
+* :mod:`repro.distributed.comm` — the :class:`Transport` protocol
+  (framed, CRC32-checksummed byte channels) with the ``sim`` engine,
+  which rides a simulated message-passing world (:class:`SimCommWorld`:
+  per-rank virtual clocks and a latency/bandwidth cost model);
+  :mod:`repro.distributed.wire` adds ``inproc`` (courier threads +
+  queues) and ``pipes`` (multiprocessing connections);
 * :mod:`repro.distributed.partition` — vertex partitioners (contiguous,
   hash, degree-balanced) with edge-cut accounting;
-* :mod:`repro.distributed.graphdist` — per-rank subgraphs with ghost
-  vertices;
-* :mod:`repro.distributed.dsbp` — the distributed A-SBP sweep: each
-  rank evaluates its owned vertices against its blockmodel replica,
-  membership updates are allgathered, and the replica is rebuilt.
-
-On top of the simulated world sits the *fault-tolerant runtime* — the
-production path of ROADMAP item 2:
-
-* :mod:`repro.distributed.comm` also defines the :class:`Transport`
-  protocol (framed, CRC32-checksummed byte channels) with the ``sim``
-  engine; :mod:`repro.distributed.wire` adds ``inproc`` (courier
-  threads + queues) and ``pipes`` (multiprocessing connections);
 * :mod:`repro.distributed.chaos` — seeded wire-fault injection
   (drops, duplicates, delays, truncation, bit-flips);
 * :mod:`repro.distributed.reliable` — exactly-once in-order delivery
@@ -40,34 +29,19 @@ Because asynchronous Gibbs evaluates against the frozen sweep-start
 state with pre-drawn per-vertex randomness, the distributed execution is
 *bit-identical* to single-node A-SBP — verified by tests, including
 under injected faults and mid-sweep shard death — while the
-communication ledger and virtual clocks quantify what a real cluster
-run would cost.
+communication ledger counts what the wire carried.
 """
 
 from repro.distributed.chaos import FAULT_KINDS, ChaosSchedule, ChaosTransport
 from repro.distributed.comm import (
+    TRANSPORTS,
     CommLedger,
     CommSpec,
     SimCommWorld,
     SimTransport,
     Transport,
-    available_transports,
     decode_frame,
     encode_frame,
-    get_transport,
-    register_transport,
-)
-from repro.distributed.dsbp import (
-    DistributedSweepReport,
-    distributed_async_sweep,
-    model_distributed_scaling,
-)
-from repro.distributed.graphdist import DistributedGraph
-from repro.distributed.halo import (
-    HaloPlan,
-    build_halo_plan,
-    halo_exchange_frames,
-    halo_exchange_moves,
 )
 from repro.distributed.partition import (
     PartitionStats,
@@ -85,21 +59,11 @@ __all__ = [
     "PartitionStats",
     "partition_vertices",
     "edge_cut",
-    "DistributedGraph",
-    "HaloPlan",
-    "build_halo_plan",
-    "halo_exchange_moves",
-    "halo_exchange_frames",
-    "DistributedSweepReport",
-    "distributed_async_sweep",
-    "model_distributed_scaling",
     "Transport",
     "SimTransport",
     "InprocTransport",
     "PipesTransport",
-    "register_transport",
-    "get_transport",
-    "available_transports",
+    "TRANSPORTS",
     "encode_frame",
     "decode_frame",
     "FAULT_KINDS",

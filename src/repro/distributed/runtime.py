@@ -36,11 +36,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distributed.chaos import ChaosSchedule, ChaosTransport
-from repro.distributed.comm import CommLedger, Transport, get_transport
+from repro.distributed.comm import TRANSPORTS, CommLedger, Transport
 from repro.distributed.partition import partition_vertices
 from repro.distributed.reliable import ReliableComm
 from repro.errors import ChannelTimeout, ShardLost, TransportError
-from repro.parallel.backend import ExecutionBackend, get_backend, register_backend
+from repro.parallel.backend import BACKENDS, ExecutionBackend, get_backend
 from repro.resilience.resilient import RetryPolicy
 from repro.utils.log import get_logger
 
@@ -124,8 +124,8 @@ class DistributedBackend(ExecutionBackend):
             raise TransportError("distributed backends cannot nest")
         self.inner = get_backend(inner_backend)
 
-        raw: Transport = get_transport(
-            self.transport_name, self.num_ranks, **(transport_options or {})
+        raw: Transport = TRANSPORTS.get(self.transport_name)(
+            num_ranks=self.num_ranks, **(transport_options or {})
         )
         if isinstance(chaos, dict):
             chaos = ChaosSchedule.from_mapping(chaos)
@@ -368,4 +368,4 @@ def _parse_failures(failures: dict | None) -> dict[int, tuple[int, ...]]:
     return parsed
 
 
-register_backend("distributed", DistributedBackend)
+BACKENDS.register("distributed", DistributedBackend)

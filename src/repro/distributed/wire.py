@@ -28,7 +28,7 @@ import multiprocessing
 import queue
 import threading
 
-from repro.distributed.comm import Transport, register_transport
+from repro.distributed.comm import TRANSPORTS, Transport
 
 __all__ = ["InprocTransport", "PipesTransport"]
 
@@ -184,5 +184,5 @@ def _reader_loop(recv_conn, inbox: queue.Queue) -> None:
             return
 
 
-register_transport("inproc", InprocTransport)
-register_transport("pipes", PipesTransport)
+TRANSPORTS.register("inproc", InprocTransport)
+TRANSPORTS.register("pipes", PipesTransport)

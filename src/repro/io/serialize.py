@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.results import SBPResult
 from repro.errors import BackendError, ReproError, SerializationError
-from repro.sbm.block_storage import get_block_storage
+from repro.sbm.block_storage import BLOCK_STORAGES
 from repro.sbm.blockmodel import Blockmodel
 from repro.types import Assignment, PhaseTimings
 
@@ -420,7 +420,7 @@ def load_blockmodel(path: str | os.PathLike[str]) -> Blockmodel:
             f"{path}: B shape {B.shape} inconsistent with num_blocks {num_blocks}"
         )
     try:
-        storage_cls = get_block_storage(storage)
+        storage_cls = BLOCK_STORAGES.get(storage)
     except BackendError as exc:
         raise SerializationError(f"{path}: {exc}") from exc
     state = storage_cls.from_dense(B)

@@ -11,6 +11,7 @@ execution backends are injected (duck-typed).
 from repro.mcmc.async_gibbs import async_gibbs_sweep
 from repro.mcmc.convergence import ConvergenceMonitor
 from repro.mcmc.engine import (
+    VARIANTS,
     AllVertices,
     DegreeBand,
     DegreeTop,
@@ -19,16 +20,14 @@ from repro.mcmc.engine import (
     SweepPlan,
     SweepSegment,
     VariantSpec,
-    available_variants,
     build_plan,
-    get_variant_spec,
-    register_variant,
     split_vertices_by_degree,
 )
 from repro.mcmc.evaluate import VertexDecision, evaluate_vertex
 from repro.mcmc.metropolis import metropolis_sweep
 
 __all__ = [
+    "VARIANTS",
     "VertexDecision",
     "evaluate_vertex",
     "metropolis_sweep",
@@ -43,8 +42,5 @@ __all__ = [
     "SweepPlan",
     "SweepEngine",
     "VariantSpec",
-    "register_variant",
-    "get_variant_spec",
-    "available_variants",
     "build_plan",
 ]

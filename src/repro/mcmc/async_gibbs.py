@@ -6,7 +6,7 @@ are recorded in a membership vector only; the blockmodel is rebuilt once
 at the end of the sweep. Because the evaluations are independent given
 the frozen state, the evaluation stage is embarrassingly parallel — the
 ``backend`` argument decides how it is executed (serial loop, vectorized
-batch, process pool, or simulated threads).
+batch, sharded distributed ranks, or simulated threads).
 """
 
 from __future__ import annotations

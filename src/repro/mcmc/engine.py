@@ -17,7 +17,7 @@ of a fork in control flow:
   segment, ``b-sbp`` = one frozen segment split into ``num_batches``
   barriers, ``h-sbp`` = serial(V*) + frozen(V−), and ``tiered`` = the
   paper's §6 multi-tier direction (serial top, frozen-batched middle,
-  frozen tail). New variants need only :func:`register_variant` — no
+  frozen tail). New variants need only ``VARIANTS.register`` — no
   engine or driver edits.
 
 Randomness-tag compatibility
@@ -58,6 +58,7 @@ from repro.mcmc.convergence import ConvergenceMonitor
 from repro.mcmc.metropolis import metropolis_sweep
 from repro.parallel.partitioner import contiguous_chunks
 from repro.types import IntArray, SweepStats
+from repro.utils.registry import Registry
 from repro.utils.rng import SweepRandomness
 
 if TYPE_CHECKING:  # annotation-only; keeps runtime imports cycle-free
@@ -78,9 +79,7 @@ __all__ = [
     "SweepPlan",
     "SweepEngine",
     "VariantSpec",
-    "register_variant",
-    "get_variant_spec",
-    "available_variants",
+    "VARIANTS",
     "build_plan",
 ]
 
@@ -408,9 +407,9 @@ class SweepEngine:
         self.mcmc_timer = timers.timer("mcmc")
         self.rebuild_timer = timers.timer("rebuild")
         if updater is None:
-            from repro.parallel.backend import get_update_strategy
+            from repro.parallel.backend import UPDATE_STRATEGIES
 
-            updater = get_update_strategy(config.update_strategy, timers=timers)
+            updater = UPDATE_STRATEGIES.get(config.update_strategy)(timers=timers)
         self.updater = updater
         self.on_sweep = on_sweep
 
@@ -585,32 +584,12 @@ class VariantSpec:
     build_plan: Callable[[SBPConfig], SweepPlan]
 
 
-_VARIANT_REGISTRY: dict[str, VariantSpec] = {}
-
-
-def register_variant(spec: VariantSpec) -> None:
-    """Register a variant; its name becomes a valid ``SBPConfig.variant``."""
-    if spec.name in _VARIANT_REGISTRY:
-        raise ReproError(f"variant {spec.name!r} already registered")
-    _VARIANT_REGISTRY[spec.name] = spec
-
-
-def get_variant_spec(name: str) -> VariantSpec:
-    spec = _VARIANT_REGISTRY.get(str(name))
-    if spec is None:
-        raise ReproError(
-            f"unknown variant {name!r}; registered: {available_variants()}"
-        )
-    return spec
-
-
-def available_variants() -> list[str]:
-    return sorted(_VARIANT_REGISTRY)
+VARIANTS: Registry[VariantSpec] = Registry("variant")
 
 
 def build_plan(config: SBPConfig) -> SweepPlan:
     """Build the sweep plan for ``config``'s registered variant."""
-    return get_variant_spec(str(config.variant)).build_plan(config)
+    return VARIANTS.get(str(config.variant)).build_plan(config)
 
 
 def _sbp_plan(config: SBPConfig) -> SweepPlan:
@@ -688,28 +667,31 @@ def _tiered_plan(config: SBPConfig) -> SweepPlan:
     )
 
 
-register_variant(VariantSpec(
-    name="sbp",
-    summary="serial Metropolis-Hastings, fully fresh state (Alg. 2)",
-    build_plan=_sbp_plan,
-))
-register_variant(VariantSpec(
-    name="a-sbp",
-    summary="asynchronous Gibbs, one frozen pass + one barrier (Alg. 3)",
-    build_plan=_asbp_plan,
-))
-register_variant(VariantSpec(
-    name="b-sbp",
-    summary="batched async Gibbs, num_batches barriers per sweep (§6)",
-    build_plan=_bsbp_plan,
-))
-register_variant(VariantSpec(
-    name="h-sbp",
-    summary="hybrid: serial top-degree V*, frozen V- (Alg. 4)",
-    build_plan=_hsbp_plan,
-))
-register_variant(VariantSpec(
-    name="tiered",
-    summary="three-tier hybrid: serial top, batched middle, frozen tail (§6)",
-    build_plan=_tiered_plan,
-))
+for _spec in (
+    VariantSpec(
+        name="sbp",
+        summary="serial Metropolis-Hastings, fully fresh state (Alg. 2)",
+        build_plan=_sbp_plan,
+    ),
+    VariantSpec(
+        name="a-sbp",
+        summary="asynchronous Gibbs, one frozen pass + one barrier (Alg. 3)",
+        build_plan=_asbp_plan,
+    ),
+    VariantSpec(
+        name="b-sbp",
+        summary="batched async Gibbs, num_batches barriers per sweep (§6)",
+        build_plan=_bsbp_plan,
+    ),
+    VariantSpec(
+        name="h-sbp",
+        summary="hybrid: serial top-degree V*, frozen V- (Alg. 4)",
+        build_plan=_hsbp_plan,
+    ),
+    VariantSpec(
+        name="tiered",
+        summary="three-tier hybrid: serial top, batched middle, frozen tail (§6)",
+        build_plan=_tiered_plan,
+    ),
+):
+    VARIANTS.register(_spec.name, _spec)

@@ -8,8 +8,9 @@ interchangeable executors for that stage:
 * :class:`VectorizedBackend` — whole-sweep numpy batch evaluation (the
   fast path on a single core; computationally identical to what OpenMP
   threads do in the authors' C++ implementation),
-* :class:`ProcessPoolBackend` — fork-based shared-memory worker pool
-  (lock-free reads of the frozen state, as in the paper's design),
+* :class:`~repro.distributed.runtime.DistributedBackend` — the same
+  evaluation sharded over N ranks (``distributed:<transport>:<ranks>``;
+  ``pipes`` runs the ranks as processes),
 * :mod:`repro.parallel.simulate` — a calibrated p-thread execution model
   used to reproduce the strong-scaling experiment (Fig. 7) without a
   128-core machine.
@@ -24,16 +25,14 @@ because the per-sweep randomness is pre-drawn in vertex order
 """
 
 from repro.parallel.backend import (
+    BACKENDS,
+    MERGE_BACKENDS,
     ExecutionBackend,
     MergeBackend,
-    available_backends,
-    available_merge_backends,
     get_backend,
-    get_merge_backend,
 )
 from repro.parallel.serial import SerialBackend
 from repro.parallel.vectorized import VectorizedBackend
-from repro.parallel.processpool import ProcessPoolBackend
 from repro.parallel.merge import SerialMergeBackend, VectorizedMergeBackend
 from repro.parallel.partitioner import contiguous_chunks, balanced_chunks
 from repro.parallel.simulate import SimulatedThreadModel, simulate_sweep_seconds
@@ -41,13 +40,11 @@ from repro.parallel.simulate import SimulatedThreadModel, simulate_sweep_seconds
 __all__ = [
     "ExecutionBackend",
     "MergeBackend",
+    "BACKENDS",
+    "MERGE_BACKENDS",
     "get_backend",
-    "get_merge_backend",
-    "available_backends",
-    "available_merge_backends",
     "SerialBackend",
     "VectorizedBackend",
-    "ProcessPoolBackend",
     "SerialMergeBackend",
     "VectorizedMergeBackend",
     "contiguous_chunks",

@@ -1,4 +1,13 @@
-"""Backend protocol and registry."""
+"""The three sweep-phase engine protocols and their registries.
+
+* :class:`ExecutionBackend` (``BACKENDS``) evaluates an asynchronous
+  Gibbs sweep: ``serial``, ``vectorized``, ``distributed`` and the
+  ``resilient`` wrapper;
+* :class:`MergeBackend` (``MERGE_BACKENDS``) scans block-merge
+  candidates: ``serial`` and ``vectorized``;
+* :class:`SweepUpdater` (``UPDATE_STRATEGIES``) applies a sweep's moves
+  at the barrier: ``rebuild`` and ``incremental``.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +15,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import BackendError
+from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # annotation-only; keeps this module import-cycle-free
     import numpy as np
@@ -16,20 +26,14 @@ if TYPE_CHECKING:  # annotation-only; keeps this module import-cycle-free
 
 __all__ = [
     "ExecutionBackend",
-    "register_backend",
+    "BACKENDS",
     "get_backend",
-    "available_backends",
-    "backend_registry",
     "MergeBackend",
-    "register_merge_backend",
-    "get_merge_backend",
-    "available_merge_backends",
-    "merge_backend_registry",
+    "MERGE_BACKENDS",
     "SweepUpdater",
-    "register_update_strategy",
+    "UPDATE_STRATEGIES",
     "get_update_strategy",
     "available_update_strategies",
-    "update_strategy_registry",
 ]
 
 
@@ -69,55 +73,31 @@ class ExecutionBackend(ABC):
         self.close()
 
 
-_REGISTRY: dict[str, Callable[..., ExecutionBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[..., ExecutionBackend]) -> None:
-    """Register a backend factory under ``name`` (used by plugins/tests)."""
-    if name in _REGISTRY:
-        raise BackendError(f"backend {name!r} already registered")
-    _REGISTRY[name] = factory
+BACKENDS: Registry[Callable[..., ExecutionBackend]] = Registry(
+    "backend",
+    BackendError,
+    builtins=(
+        "repro.parallel.serial",
+        "repro.parallel.vectorized",
+        "repro.distributed.runtime",
+        "repro.resilience.resilient",
+    ),
+)
 
 
 def get_backend(name: str, **kwargs) -> ExecutionBackend:
-    """Instantiate a backend by name: 'serial', 'vectorized', 'process',
-    'resilient', ...
+    """Instantiate a backend by spec: 'serial', 'vectorized', ...
 
-    A spec of the form ``wrapper:inner`` (e.g. ``resilient:process``)
+    A spec of the form ``wrapper:inner`` (e.g. ``resilient:vectorized``)
     instantiates ``wrapper`` with the remainder passed as its ``inner``
     keyword, so wrapper backends compose from the CLI's single
     ``--backend`` string.
     """
-    # Import side registers the built-ins lazily to avoid import cycles.
-    from repro.distributed import runtime  # noqa: F401
-    from repro.parallel import serial, vectorized, processpool  # noqa: F401
-    from repro.resilience import resilient  # noqa: F401
-
-    factory = _REGISTRY.get(name)
-    if factory is None and ":" in name:
+    if ":" in name and name not in BACKENDS:
         base, _, inner = name.partition(":")
-        wrapper = _REGISTRY.get(base)
-        if wrapper is not None and inner:
-            return wrapper(inner=inner, **kwargs)
-    if factory is None:
-        raise BackendError(
-            f"unknown backend {name!r}; available: {sorted(_REGISTRY)}"
-        )
-    return factory(**kwargs)
-
-
-def available_backends() -> list[str]:
-    from repro.distributed import runtime  # noqa: F401
-    from repro.parallel import serial, vectorized, processpool  # noqa: F401
-    from repro.resilience import resilient  # noqa: F401
-
-    return sorted(_REGISTRY)
-
-
-def backend_registry() -> dict[str, Callable[..., ExecutionBackend]]:
-    """Name → factory snapshot of the execution-backend registry."""
-    available_backends()  # import side effect registers the built-ins
-    return dict(_REGISTRY)
+        if base in BACKENDS and inner:
+            return BACKENDS.get(base)(inner=inner, **kwargs)
+    return BACKENDS.get(name)(**kwargs)
 
 
 class MergeBackend(ABC):
@@ -146,38 +126,9 @@ class MergeBackend(ABC):
         """
 
 
-_MERGE_REGISTRY: dict[str, Callable[..., MergeBackend]] = {}
-
-
-def register_merge_backend(name: str, factory: Callable[..., MergeBackend]) -> None:
-    """Register a merge-phase backend factory under ``name``."""
-    if name in _MERGE_REGISTRY:
-        raise BackendError(f"merge backend {name!r} already registered")
-    _MERGE_REGISTRY[name] = factory
-
-
-def get_merge_backend(name: str, **kwargs) -> MergeBackend:
-    """Instantiate a merge backend by name: 'serial' or 'vectorized'."""
-    from repro.parallel import merge  # noqa: F401  (registers built-ins)
-
-    factory = _MERGE_REGISTRY.get(name)
-    if factory is None:
-        raise BackendError(
-            f"unknown merge backend {name!r}; available: {sorted(_MERGE_REGISTRY)}"
-        )
-    return factory(**kwargs)
-
-
-def available_merge_backends() -> list[str]:
-    from repro.parallel import merge  # noqa: F401
-
-    return sorted(_MERGE_REGISTRY)
-
-
-def merge_backend_registry() -> dict[str, Callable[..., MergeBackend]]:
-    """Name → factory snapshot of the merge-backend registry."""
-    available_merge_backends()
-    return dict(_MERGE_REGISTRY)
+MERGE_BACKENDS: Registry[Callable[..., MergeBackend]] = Registry(
+    "merge backend", BackendError, builtins=("repro.parallel.merge",)
+)
 
 
 class SweepUpdater(ABC):
@@ -215,36 +166,16 @@ class SweepUpdater(ABC):
         return None
 
 
-_UPDATE_REGISTRY: dict[str, Callable[..., SweepUpdater]] = {}
+UPDATE_STRATEGIES: Registry[Callable[..., SweepUpdater]] = Registry(
+    "update strategy", BackendError, builtins=("repro.sbm.incremental",)
+)
 
 
-def register_update_strategy(name: str, factory: Callable[..., SweepUpdater]) -> None:
-    """Register a sweep-update strategy factory under ``name``."""
-    if name in _UPDATE_REGISTRY:
-        raise BackendError(f"update strategy {name!r} already registered")
-    _UPDATE_REGISTRY[name] = factory
-
-
+# Name-level entry points kept because the update-strategy equivalence
+# suite imports them; library code uses UPDATE_STRATEGIES directly.
 def get_update_strategy(name: str, **kwargs) -> SweepUpdater:
     """Instantiate an update strategy by name: 'rebuild' or 'incremental'."""
-    from repro.sbm import incremental  # noqa: F401  (registers built-ins)
-
-    factory = _UPDATE_REGISTRY.get(name)
-    if factory is None:
-        raise BackendError(
-            f"unknown update strategy {name!r}; "
-            f"available: {sorted(_UPDATE_REGISTRY)}"
-        )
-    return factory(**kwargs)
+    return UPDATE_STRATEGIES.get(name)(**kwargs)
 
 
-def available_update_strategies() -> list[str]:
-    from repro.sbm import incremental  # noqa: F401
-
-    return sorted(_UPDATE_REGISTRY)
-
-
-def update_strategy_registry() -> dict[str, Callable[..., SweepUpdater]]:
-    """Name → factory snapshot of the update-strategy registry."""
-    available_update_strategies()
-    return dict(_UPDATE_REGISTRY)
+available_update_strategies = UPDATE_STRATEGIES.names

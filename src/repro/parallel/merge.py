@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.backend import MergeBackend, register_merge_backend
+from repro.parallel.backend import MERGE_BACKENDS, MergeBackend
 from repro.sbm.blockmodel import Blockmodel
 from repro.sbm.delta import merge_delta, merge_delta_batch
 from repro.sbm.moves import propose_block_merge, propose_block_merges_batch
@@ -80,5 +80,5 @@ class VectorizedMergeBackend(MergeBackend):
         return deltas[rows, best_j], targets[rows, best_j]
 
 
-register_merge_backend("serial", SerialMergeBackend)
-register_merge_backend("vectorized", VectorizedMergeBackend)
+MERGE_BACKENDS.register("serial", SerialMergeBackend)
+MERGE_BACKENDS.register("vectorized", VectorizedMergeBackend)

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.mcmc.evaluate import evaluate_vertex
-from repro.parallel.backend import ExecutionBackend, register_backend
+from repro.parallel.backend import BACKENDS, ExecutionBackend
 from repro.sbm.blockmodel import Blockmodel
 from repro.types import IntArray
 
@@ -40,4 +40,4 @@ class SerialBackend(ExecutionBackend):
         return accepted, targets
 
 
-register_backend("serial", SerialBackend)
+BACKENDS.register("serial", SerialBackend)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.parallel.backend import ExecutionBackend, register_backend
+from repro.parallel.backend import BACKENDS, ExecutionBackend
 from repro.sbm.blockmodel import Blockmodel
 from repro.sbm.entropy import xlogx_counts as _g
 from repro.types import IntArray
@@ -320,4 +320,4 @@ def _batch_hastings(
     return np.where(p_fwd > 0.0, p_bwd / np.where(p_fwd > 0.0, p_fwd, 1.0), 1.0)
 
 
-register_backend("vectorized", VectorizedBackend)
+BACKENDS.register("vectorized", VectorizedBackend)

@@ -58,7 +58,7 @@ _MANIFEST_RE = re.compile(r"^state_(\d{5})\.json$")
 #: Config fields that determine the chain (and therefore the result).
 #: Backend choices are deliberately excluded: every execution/merge
 #: backend is bit-identical by construction, so a run checkpointed under
-#: ``--backend process`` may resume under ``--backend serial``.
+#: ``--backend distributed:pipes:2`` may resume under ``--backend serial``.
 #: ``update_strategy`` and ``block_storage`` ARE included even though
 #: their engines are bit-identical too: each maintains state through a
 #: different code path (delta-apply vs recount; dense vs sparse matrix),

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import BackendError
 from repro.graph.graph import Graph
-from repro.parallel.backend import ExecutionBackend, get_backend, register_backend
+from repro.parallel.backend import BACKENDS, ExecutionBackend, get_backend
 from repro.sbm.blockmodel import Blockmodel
 from repro.types import IntArray
 from repro.utils.log import get_logger
@@ -264,4 +264,4 @@ class _SweepTimeout(BackendError):
     """Internal marker: an attempt exceeded the sweep timeout."""
 
 
-register_backend("resilient", ResilientBackend)
+BACKENDS.register("resilient", ResilientBackend)

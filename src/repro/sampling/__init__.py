@@ -15,21 +15,17 @@ without an import cycle.
 from __future__ import annotations
 
 from repro.sampling.samplers import (
+    SAMPLERS,
     SampledGraph,
     SamplerSpec,
-    available_samplers,
-    get_sampler,
-    register_sampler,
     sample_graph,
     sample_size,
 )
 
 __all__ = [
+    "SAMPLERS",
     "SampledGraph",
     "SamplerSpec",
-    "available_samplers",
-    "get_sampler",
-    "register_sampler",
     "sample_graph",
     "sample_size",
     "extend_assignment",

@@ -3,7 +3,7 @@
 A sampler picks ``ceil(sample_rate * V)`` vertices from the full graph;
 the induced subgraph on that set is what the golden-section SBP search
 actually fits. Samplers are registered engines, mirroring the execution
-backend / block-storage registries: :func:`register_sampler` adds a
+backend / block-storage registries: ``SAMPLERS.register`` adds a
 :class:`SamplerSpec`, ``SBPConfig.sampler`` accepts any registered name,
 and the CLI renders the registry.
 
@@ -40,15 +40,14 @@ from repro.errors import ReproError
 from repro.graph.graph import Graph
 from repro.graph.transforms import induced_subgraph
 from repro.types import Assignment, IntArray
+from repro.utils.registry import Registry
 from repro.utils.rng import philox_stream
 
 __all__ = [
     "SAMPLER_PHASE",
     "SampledGraph",
     "SamplerSpec",
-    "register_sampler",
-    "get_sampler",
-    "available_samplers",
+    "SAMPLERS",
     "sample_size",
     "sample_graph",
 ]
@@ -128,27 +127,7 @@ class SamplerSpec:
     select: Callable[[Graph, int, int], IntArray]
 
 
-_SAMPLER_REGISTRY: dict[str, SamplerSpec] = {}
-
-
-def register_sampler(spec: SamplerSpec) -> None:
-    """Register a sampler; its name becomes a valid ``SBPConfig.sampler``."""
-    if spec.name in _SAMPLER_REGISTRY:
-        raise ReproError(f"sampler {spec.name!r} already registered")
-    _SAMPLER_REGISTRY[spec.name] = spec
-
-
-def get_sampler(name: str) -> SamplerSpec:
-    spec = _SAMPLER_REGISTRY.get(str(name))
-    if spec is None:
-        raise ReproError(
-            f"unknown sampler {name!r}; registered: {available_samplers()}"
-        )
-    return spec
-
-
-def available_samplers() -> list[str]:
-    return sorted(_SAMPLER_REGISTRY)
+SAMPLERS: Registry[SamplerSpec] = Registry("sampler")
 
 
 def sample_size(num_vertices: int, rate: float) -> int:
@@ -162,7 +141,7 @@ def sample_graph(
     graph: Graph, rate: float, sampler: str = "degree-weighted", seed: int = 0
 ) -> SampledGraph:
     """Draw a deterministic vertex sample and build its induced subgraph."""
-    spec = get_sampler(sampler)
+    spec = SAMPLERS.get(sampler)
     size = sample_size(graph.num_vertices, rate)
     if size >= graph.num_vertices:
         vertices = np.arange(graph.num_vertices, dtype=np.int64)
@@ -259,23 +238,26 @@ def _expansion_snowball(graph: Graph, size: int, seed: int) -> IntArray:
     return chosen
 
 
-register_sampler(SamplerSpec(
-    name="uniform-random",
-    summary="uniform vertex sample (Philox permutation prefix)",
-    stream=1,
-    select=_uniform_random,
-))
-register_sampler(SamplerSpec(
-    name="degree-weighted",
-    summary="degree+1 weighted sample without replacement "
-            "(Efraimidis-Spirakis keys; isolated vertices keep mass)",
-    stream=2,
-    select=_degree_weighted,
-))
-register_sampler(SamplerSpec(
-    name="expansion-snowball",
-    summary="randomized snowball along edges; connected on connected "
-            "inputs, re-seeds by degree when the frontier dries up",
-    stream=3,
-    select=_expansion_snowball,
-))
+for _spec in (
+    SamplerSpec(
+        name="uniform-random",
+        summary="uniform vertex sample (Philox permutation prefix)",
+        stream=1,
+        select=_uniform_random,
+    ),
+    SamplerSpec(
+        name="degree-weighted",
+        summary="degree+1 weighted sample without replacement "
+                "(Efraimidis-Spirakis keys; isolated vertices keep mass)",
+        stream=2,
+        select=_degree_weighted,
+    ),
+    SamplerSpec(
+        name="expansion-snowball",
+        summary="randomized snowball along edges; connected on connected "
+                "inputs, re-seeds by degree when the frontier dries up",
+        stream=3,
+        select=_expansion_snowball,
+    ),
+):
+    SAMPLERS.register(_spec.name, _spec)

@@ -1,13 +1,11 @@
 """Degree-corrected stochastic blockmodel state and MDL computations."""
 
 from repro.sbm.block_storage import (
+    BLOCK_STORAGES,
     BlockState,
     DenseBlockState,
     RowCDF,
     SparseBlockState,
-    available_block_storages,
-    get_block_storage,
-    register_block_storage,
 )
 from repro.sbm.blockmodel import Blockmodel
 from repro.sbm.entropy import (
@@ -35,13 +33,11 @@ from repro.sbm.incremental import (
 )
 
 __all__ = [
+    "BLOCK_STORAGES",
     "BlockState",
     "DenseBlockState",
     "SparseBlockState",
     "RowCDF",
-    "register_block_storage",
-    "get_block_storage",
-    "available_block_storages",
     "Blockmodel",
     "xlogx",
     "h_binary",

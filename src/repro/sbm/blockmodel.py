@@ -28,9 +28,9 @@ from repro.errors import BlockmodelError
 from repro.graph.graph import Graph
 from repro.sbm.block_storage import (
     AUTO_STORAGE,
+    BLOCK_STORAGES,
     BlockState,
     DenseBlockState,
-    get_block_storage,
     resolve_block_storage,
 )
 from repro.sbm.entropy import description_length
@@ -51,7 +51,7 @@ def _resolve_storage(
             storage, _ = resolve_block_storage(
                 storage, graph.num_vertices, graph.num_edges
             )
-        return get_block_storage(storage)
+        return BLOCK_STORAGES.get(storage)
     return storage
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.parallel.backend import SweepUpdater, register_update_strategy
+from repro.parallel.backend import UPDATE_STRATEGIES, SweepUpdater
 from repro.sbm import kernels as _K
 from repro.sbm.block_storage import RowCDF
 from repro.sbm.blockmodel import Blockmodel
@@ -394,5 +394,5 @@ class IncrementalUpdater(_TimedUpdater):
         )
 
 
-register_update_strategy("rebuild", RebuildUpdater)
-register_update_strategy("incremental", IncrementalUpdater)
+UPDATE_STRATEGIES.register("rebuild", RebuildUpdater)
+UPDATE_STRATEGIES.register("incremental", IncrementalUpdater)

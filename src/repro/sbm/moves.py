@@ -199,11 +199,6 @@ def accept_probability(delta_s: float, hastings: float, beta: float) -> float:
     return math.exp(exponent)
 
 
-def _inverse_cdf_draw(weights: np.ndarray, uniform: float, fallback: int) -> int:
-    """Draw an index proportionally to non-negative integer ``weights``."""
-    return _cdf_draw(np.cumsum(weights), uniform, fallback)
-
-
 def _cdf_draw(cdf: np.ndarray, uniform: float, fallback: int) -> int:
     """Inverse-CDF draw against a precomputed integer prefix-sum.
 

@@ -21,24 +21,22 @@ from repro.service.jobs import (
 )
 from repro.service.orchestrator import Orchestrator, run_jobs_serially
 from repro.service.queue import (
+    JOB_QUEUES,
     JobState,
     LeaseQueue,
     QueuedJob,
-    available_job_queues,
-    get_job_queue,
-    register_job_queue,
 )
 from repro.service.store import (
+    RESULT_STORES,
     DiskResultStore,
     MemoryResultStore,
     ResultStore,
     StoreStats,
-    available_result_stores,
-    get_result_store,
-    register_result_store,
 )
 
 __all__ = [
+    "JOB_QUEUES",
+    "RESULT_STORES",
     "JOB_MODES",
     "JobSpec",
     "JobOutcome",
@@ -48,15 +46,9 @@ __all__ = [
     "ResultStore",
     "DiskResultStore",
     "MemoryResultStore",
-    "register_result_store",
-    "get_result_store",
-    "available_result_stores",
     "JobState",
     "QueuedJob",
     "LeaseQueue",
-    "register_job_queue",
-    "get_job_queue",
-    "available_job_queues",
     "Orchestrator",
     "run_jobs_serially",
     "PartitionService",

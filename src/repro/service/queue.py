@@ -26,20 +26,19 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from repro.errors import LeaseError, ServiceError, UnknownJobError
 from repro.service.jobs import JobSpec
+from repro.utils.registry import Registry
 
 __all__ = [
     "JobState",
     "QueuedJob",
     "LeaseQueue",
-    "register_job_queue",
-    "get_job_queue",
-    "available_job_queues",
+    "JOB_QUEUES",
 ]
 
 
@@ -266,27 +265,7 @@ class LeaseQueue:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_QUEUE_REGISTRY: dict[str, Callable[..., LeaseQueue]] = {}
-
-
-def register_job_queue(name: str, factory: Callable[..., LeaseQueue]) -> None:
-    """Register a queue engine; its name becomes valid for ``repro serve``."""
-    if name in _QUEUE_REGISTRY:
-        raise ServiceError(f"job queue {name!r} already registered")
-    _QUEUE_REGISTRY[name] = factory
-
-
-def get_job_queue(name: str) -> Callable[..., LeaseQueue]:
-    factory = _QUEUE_REGISTRY.get(str(name))
-    if factory is None:
-        raise ServiceError(
-            f"unknown job queue {name!r}; registered: {available_job_queues()}"
-        )
-    return factory
-
-
-def available_job_queues() -> list[str]:
-    return sorted(_QUEUE_REGISTRY)
+JOB_QUEUES: Registry[Callable[..., LeaseQueue]] = Registry("job queue", ServiceError)
 
 
 def _fifo_queue(**kwargs) -> LeaseQueue:
@@ -299,5 +278,5 @@ def _lifo_queue(**kwargs) -> LeaseQueue:
     return LeaseQueue(order="lifo", **kwargs)
 
 
-register_job_queue("fifo", _fifo_queue)
-register_job_queue("lifo", _lifo_queue)
+JOB_QUEUES.register("fifo", _fifo_queue)
+JOB_QUEUES.register("lifo", _lifo_queue)

@@ -52,6 +52,15 @@ __all__ = ["PartitionService", "build_job_spec"]
 _log = get_logger("service.server")
 
 
+def _field(body: dict, key: str, default, kind):
+    """``kind(body[key])``, a malformed value raising a 400-mapped error."""
+    value = body.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ServiceError(f"bad {key!r} value {value!r}: {exc}") from exc
+
+
 def _load_graph_from_request(body: dict) -> Graph:
     """Materialize the request's graph source (upload, path or generator)."""
     sources = [k for k in ("edges", "path", "corpus", "standin") if k in body]
@@ -61,11 +70,12 @@ def _load_graph_from_request(body: dict) -> Graph:
             f"'num_vertices'), 'path', 'corpus' or 'standin'; got {sources}"
         )
     if "edges" in body:
-        edges = np.asarray(body["edges"], dtype=np.int64)
-        num_vertices = body.get("num_vertices")
-        if num_vertices is None:
-            num_vertices = int(edges.max()) + 1 if edges.size else 1
-        return Graph(int(num_vertices), edges)
+        edges = _field(
+            body, "edges", None, lambda v: np.asarray(v, dtype=np.int64)
+        )
+        if body.get("num_vertices") is None:
+            return Graph(int(edges.max()) + 1 if edges.size else 1, edges)
+        return Graph(_field(body, "num_vertices", None, int), edges)
     if "path" in body:
         from repro.graph.io import read_edge_list, read_matrix_market
 
@@ -73,7 +83,7 @@ def _load_graph_from_request(body: dict) -> Graph:
         if not Path(path).is_file():
             raise ServiceError(f"graph file not found on server: {path}")
         return read_matrix_market(path) if path.endswith(".mtx") else read_edge_list(path)
-    seed = int(body.get("graph_seed", 0))
+    seed = _field(body, "graph_seed", 0, int)
     if "corpus" in body:
         from repro.generators.corpus import generate_synthetic
 
@@ -101,11 +111,11 @@ def build_job_spec(body: dict) -> JobSpec:
         raise ServiceError(f"bad config field: {exc}") from exc
     stream_block = body.get("stream")
     if stream_block is not None:
-        from repro.streaming.source import get_stream_source
+        from repro.streaming.source import STREAM_SOURCES
 
         if not isinstance(stream_block, dict) or "source" not in stream_block:
             raise ServiceError("'stream' must be {'source': ..., 'options': {...}}")
-        spec = get_stream_source(str(stream_block["source"]))
+        spec = STREAM_SOURCES.get(str(stream_block["source"]))
         options = stream_block.get("options", {})
         if not isinstance(options, dict):
             raise ServiceError("'stream.options' must be an object")
@@ -117,10 +127,10 @@ def build_job_spec(body: dict) -> JobSpec:
             stream,
             config,
             drift_policy=str(stream_block.get("drift_policy", "mdl-ratio")),
-            drift_threshold=float(stream_block.get("drift_threshold", 0.05)),
+            drift_threshold=_field(stream_block, "drift_threshold", 0.05, float),
         )
     graph = _load_graph_from_request(body)
-    return JobSpec.for_graph(graph, config, runs=int(body.get("runs", 1)))
+    return JobSpec.for_graph(graph, config, runs=_field(body, "runs", 1, int))
 
 
 class PartitionService:
@@ -174,6 +184,12 @@ class PartitionService:
                     "application/json",
                 )
 
+            def _send_internal_error(self, exc: Exception) -> None:
+                _log.exception("%s %s failed", self.command, self.path)
+                self._send_json(
+                    500, {"error": f"internal error: {type(exc).__name__}: {exc}"}
+                )
+
             def do_POST(self):  # noqa: N802 - http.server API
                 if self.path.rstrip("/") != "/submit":
                     self._send_json(404, {"error": f"no such endpoint {self.path}"})
@@ -186,6 +202,8 @@ class PartitionService:
                     self._send_json(404, {"error": str(exc)})
                 except (ReproError, ValueError, json.JSONDecodeError) as exc:
                     self._send_json(400, {"error": str(exc)})
+                except Exception as exc:
+                    self._send_internal_error(exc)
 
             def do_GET(self):  # noqa: N802 - http.server API
                 try:
@@ -209,6 +227,8 @@ class PartitionService:
                     self._send_json(404, {"error": str(exc)})
                 except (ReproError, ValueError) as exc:
                     self._send_json(400, {"error": str(exc)})
+                except Exception as exc:
+                    self._send_internal_error(exc)
 
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._http_thread: threading.Thread | None = None

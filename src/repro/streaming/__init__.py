@@ -1,34 +1,26 @@
 """Streaming community detection: warm refits along an edge stream."""
 
 from repro.streaming.drift import (
+    DRIFT_POLICIES,
     DriftPolicy,
-    available_drift_policies,
     drift_value,
-    get_drift_policy,
-    register_drift_policy,
 )
 from repro.streaming.source import (
+    STREAM_SOURCES,
     EdgeStream,
     StreamSourceSpec,
-    available_stream_sources,
     edgelist_dir_stream,
-    get_stream_source,
-    register_stream_source,
     synthetic_churn_stream,
 )
 from repro.streaming.session import SnapshotReport, StreamResult, StreamSession
 
 __all__ = [
+    "STREAM_SOURCES",
+    "DRIFT_POLICIES",
     "DriftPolicy",
     "drift_value",
-    "register_drift_policy",
-    "get_drift_policy",
-    "available_drift_policies",
     "EdgeStream",
     "StreamSourceSpec",
-    "register_stream_source",
-    "get_stream_source",
-    "available_stream_sources",
     "synthetic_churn_stream",
     "edgelist_dir_stream",
     "SnapshotReport",

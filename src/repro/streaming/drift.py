@@ -24,14 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import ReproError
+from repro.utils.registry import Registry
 
 __all__ = [
     "drift_value",
     "DriftPolicy",
-    "register_drift_policy",
-    "get_drift_policy",
-    "available_drift_policies",
+    "DRIFT_POLICIES",
 ]
 
 
@@ -56,43 +54,25 @@ class DriftPolicy:
     should_cold_fit: Callable[[float, float], bool]
 
 
-_DRIFT_REGISTRY: dict[str, DriftPolicy] = {}
+DRIFT_POLICIES: Registry[DriftPolicy] = Registry("drift policy")
 
 
-def register_drift_policy(policy: DriftPolicy) -> None:
-    """Register a policy; its name becomes valid for ``repro stream``."""
-    if policy.name in _DRIFT_REGISTRY:
-        raise ReproError(f"drift policy {policy.name!r} already registered")
-    _DRIFT_REGISTRY[policy.name] = policy
-
-
-def get_drift_policy(name: str) -> DriftPolicy:
-    policy = _DRIFT_REGISTRY.get(str(name))
-    if policy is None:
-        raise ReproError(
-            f"unknown drift policy {name!r}; "
-            f"registered: {available_drift_policies()}"
-        )
-    return policy
-
-
-def available_drift_policies() -> list[str]:
-    return sorted(_DRIFT_REGISTRY)
-
-
-register_drift_policy(DriftPolicy(
-    name="mdl-ratio",
-    summary="cold fit when relative normalized-MDL drift exceeds the "
-            "threshold",
-    should_cold_fit=lambda drift, threshold: drift > threshold,
-))
-register_drift_policy(DriftPolicy(
-    name="always-warm",
-    summary="never cold fit (upper bound on warm-refit speed/quality)",
-    should_cold_fit=lambda drift, threshold: False,
-))
-register_drift_policy(DriftPolicy(
-    name="always-cold",
-    summary="cold fit every snapshot (the from-scratch baseline)",
-    should_cold_fit=lambda drift, threshold: True,
-))
+for _policy in (
+    DriftPolicy(
+        name="mdl-ratio",
+        summary="cold fit when relative normalized-MDL drift exceeds the "
+                "threshold",
+        should_cold_fit=lambda drift, threshold: drift > threshold,
+    ),
+    DriftPolicy(
+        name="always-warm",
+        summary="never cold fit (upper bound on warm-refit speed/quality)",
+        should_cold_fit=lambda drift, threshold: False,
+    ),
+    DriftPolicy(
+        name="always-cold",
+        summary="cold fit every snapshot (the from-scratch baseline)",
+        should_cold_fit=lambda drift, threshold: True,
+    ),
+):
+    DRIFT_POLICIES.register(_policy.name, _policy)

@@ -45,7 +45,7 @@ from repro.metrics.alignment import consecutive_stability
 from repro.resilience.checkpoint import RunCheckpointer, config_digest
 from repro.sbm.blockmodel import Blockmodel
 from repro.sbm.entropy import normalized_description_length
-from repro.streaming.drift import drift_value, get_drift_policy
+from repro.streaming.drift import DRIFT_POLICIES, drift_value
 from repro.streaming.source import EdgeStream
 from repro.utils.log import get_logger
 
@@ -142,7 +142,7 @@ class StreamSession:
                 f"drift_threshold must be >= 0, got {drift_threshold}"
             )
         self.config = config if config is not None else SBPConfig()
-        self.policy = get_drift_policy(drift_policy)
+        self.policy = DRIFT_POLICIES.get(drift_policy)
         self.drift_threshold = float(drift_threshold)
         self.checkpointer = checkpointer
 

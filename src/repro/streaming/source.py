@@ -34,14 +34,13 @@ from repro.generators import DCSBMParams, generate_dcsbm
 from repro.graph.graph import Graph
 from repro.graph.stream import EdgeBatch
 from repro.types import Assignment
+from repro.utils.registry import Registry
 from repro.utils.rng import philox_stream
 
 __all__ = [
     "EdgeStream",
     "StreamSourceSpec",
-    "register_stream_source",
-    "get_stream_source",
-    "available_stream_sources",
+    "STREAM_SOURCES",
     "synthetic_churn_stream",
     "edgelist_dir_stream",
 ]
@@ -79,28 +78,7 @@ class StreamSourceSpec:
     build: Callable[..., EdgeStream]
 
 
-_SOURCE_REGISTRY: dict[str, StreamSourceSpec] = {}
-
-
-def register_stream_source(spec: StreamSourceSpec) -> None:
-    """Register a source; its name becomes valid for ``repro stream``."""
-    if spec.name in _SOURCE_REGISTRY:
-        raise ReproError(f"stream source {spec.name!r} already registered")
-    _SOURCE_REGISTRY[spec.name] = spec
-
-
-def get_stream_source(name: str) -> StreamSourceSpec:
-    spec = _SOURCE_REGISTRY.get(str(name))
-    if spec is None:
-        raise ReproError(
-            f"unknown stream source {name!r}; "
-            f"registered: {available_stream_sources()}"
-        )
-    return spec
-
-
-def available_stream_sources() -> list[str]:
-    return sorted(_SOURCE_REGISTRY)
+STREAM_SOURCES: Registry[StreamSourceSpec] = Registry("stream source")
 
 
 def synthetic_churn_stream(
@@ -213,13 +191,16 @@ def edgelist_dir_stream(
     return EdgeStream(graph=initial, batches=batches)
 
 
-register_stream_source(StreamSourceSpec(
-    name="synthetic-churn",
-    summary="planted DCSBM with a fixed per-snapshot edge churn rate",
-    build=synthetic_churn_stream,
-))
-register_stream_source(StreamSourceSpec(
-    name="edgelist-dir",
-    summary="directory of edge-list files, one full snapshot per file",
-    build=edgelist_dir_stream,
-))
+for _spec in (
+    StreamSourceSpec(
+        name="synthetic-churn",
+        summary="planted DCSBM with a fixed per-snapshot edge churn rate",
+        build=synthetic_churn_stream,
+    ),
+    StreamSourceSpec(
+        name="edgelist-dir",
+        summary="directory of edge-list files, one full snapshot per file",
+        build=edgelist_dir_stream,
+    ),
+):
+    STREAM_SOURCES.register(_spec.name, _spec)

@@ -1,4 +1,4 @@
-"""Backend equivalence: serial oracle vs vectorized batch vs process pool.
+"""Backend equivalence: serial oracle vs vectorized batch evaluation.
 
 This is the load-bearing property of the whole parallelization story:
 because asynchronous Gibbs evaluates every vertex against the frozen
@@ -8,25 +8,15 @@ execution strategy must produce identical decisions.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-
 import numpy as np
 import pytest
 
 from repro import Blockmodel
 from repro.errors import BackendError
-from repro.parallel import processpool
-from repro.parallel.backend import available_backends, get_backend, register_backend
-from repro.parallel.processpool import _WORKER_STATE, ProcessPoolBackend
+from repro.parallel.backend import BACKENDS, get_backend
 from repro.parallel.serial import SerialBackend
 from repro.parallel.vectorized import VectorizedBackend
 from repro.utils.rng import SweepRandomness
-
-fork_only = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="ProcessPoolBackend requires the 'fork' start method",
-)
-
 
 @pytest.fixture
 def state(medium_graph):
@@ -97,126 +87,10 @@ class TestVectorizedEquivalence:
         np.testing.assert_array_equal(a1, a2)
 
 
-def _raise_worker(args):
-    raise RuntimeError("boom from worker")
-
-
-def _hang_worker(args):
-    import time
-
-    time.sleep(30)
-
-
-@fork_only
-@pytest.mark.slow
-class TestProcessPoolFailureModes:
-    def test_worker_exception_surfaces_as_backend_error(self, state, monkeypatch):
-        graph, bm = state
-        vertices, uniforms = _sweep_inputs(graph, seed=7)
-        monkeypatch.setattr(processpool, "_worker_evaluate", _raise_worker)
-        backend = ProcessPoolBackend(num_workers=2, min_chunk=1)
-        try:
-            with pytest.raises(BackendError, match="worker failed"):
-                backend.evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-            # Pool torn down so the next sweep starts from a clean fork.
-            assert backend._pool is None
-            assert _WORKER_STATE == {}
-        finally:
-            backend.close()
-
-    def test_hung_worker_detected_by_timeout(self, state, monkeypatch):
-        graph, bm = state
-        vertices, uniforms = _sweep_inputs(graph, seed=8)
-        monkeypatch.setattr(processpool, "_worker_evaluate", _hang_worker)
-        backend = ProcessPoolBackend(num_workers=2, min_chunk=1, sweep_timeout=0.5)
-        try:
-            with pytest.raises(BackendError, match="hung or dead"):
-                backend.evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-            assert backend._pool is None
-        finally:
-            backend.close()
-
-    def test_recovers_after_worker_failure(self, state, monkeypatch):
-        graph, bm = state
-        vertices, uniforms = _sweep_inputs(graph, seed=9)
-        backend = ProcessPoolBackend(num_workers=2, min_chunk=1)
-        try:
-            with monkeypatch.context() as patched:
-                patched.setattr(processpool, "_worker_evaluate", _raise_worker)
-                with pytest.raises(BackendError):
-                    backend.evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-            # Next sweep forks a fresh pool and matches the serial oracle.
-            a, t = backend.evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-            a1, t1 = SerialBackend().evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-            np.testing.assert_array_equal(a, a1)
-            np.testing.assert_array_equal(t, t1)
-        finally:
-            backend.close()
-
-    def test_pool_persists_across_sweeps(self, state):
-        graph, bm = state
-        vertices, uniforms = _sweep_inputs(graph, seed=10)
-        backend = ProcessPoolBackend(num_workers=2, min_chunk=1)
-        try:
-            backend.evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-            first_pool = backend._pool
-            assert first_pool is not None
-            assert _WORKER_STATE == {}  # parent cleared its staging slot
-            backend.evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-            assert backend._pool is first_pool  # no refork for the same graph
-        finally:
-            backend.close()
-        assert backend._pool is None
-
-    def test_worker_state_cleared_when_fork_fails(self, state, monkeypatch):
-        graph, bm = state
-        vertices, uniforms = _sweep_inputs(graph, seed=11)
-        backend = ProcessPoolBackend(num_workers=2, min_chunk=1)
-
-        class _BrokenContext:
-            def Pool(self, processes):
-                raise OSError("fork failed")
-
-        monkeypatch.setattr(
-            processpool.mp, "get_context", lambda name: _BrokenContext()
-        )
-        with pytest.raises(OSError):
-            backend.evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-        assert _WORKER_STATE == {}
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(BackendError, match="num_workers"):
-            ProcessPoolBackend(num_workers=-1)
-        with pytest.raises(BackendError, match="sweep_timeout"):
-            ProcessPoolBackend(sweep_timeout=0.0)
-
-
-@fork_only
-@pytest.mark.slow
-class TestProcessPoolEquivalence:
-    def test_decisions_identical(self, state):
-        graph, bm = state
-        vertices, uniforms = _sweep_inputs(graph, seed=5)
-        a1, t1 = SerialBackend().evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-        backend = ProcessPoolBackend(num_workers=2, min_chunk=1)
-        a2, t2 = backend.evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-        np.testing.assert_array_equal(t1, t2)
-        np.testing.assert_array_equal(a1, a2)
-
-    def test_small_sweep_falls_back_to_serial(self, state):
-        graph, bm = state
-        backend = ProcessPoolBackend(num_workers=4, min_chunk=10**6)
-        vertices, uniforms = _sweep_inputs(graph, seed=6)
-        a, t = backend.evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-        a1, t1 = SerialBackend().evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
-        np.testing.assert_array_equal(a, a1)
-        np.testing.assert_array_equal(t, t1)
-
-
 class TestRegistry:
     def test_builtins_available(self):
-        names = available_backends()
-        assert {"serial", "vectorized", "process"} <= set(names)
+        names = BACKENDS.names()
+        assert {"serial", "vectorized", "distributed", "resilient"} <= set(names)
 
     def test_get_unknown_rejected(self):
         with pytest.raises(BackendError):
@@ -224,11 +98,11 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(BackendError):
-            register_backend("serial", SerialBackend)
+            BACKENDS.register("serial", SerialBackend)
 
     def test_factory_kwargs(self):
-        backend = get_backend("process", num_workers=3)
-        assert backend.num_workers == 3
+        with get_backend("distributed", transport="sim", ranks=3) as backend:
+            assert backend.num_ranks == 3
 
     def test_context_manager(self):
         with get_backend("serial") as backend:

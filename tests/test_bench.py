@@ -186,9 +186,9 @@ class TestGroupedBars:
 class TestDisplayNames:
     def test_every_registered_variant_has_a_display_name(self):
         from repro.bench.harness import _display_name
-        from repro.mcmc.engine import available_variants
+        from repro.mcmc.engine import VARIANTS
 
-        for variant in available_variants():
+        for variant in VARIANTS.names():
             name = _display_name(variant)
             assert name  # never empty
             # Registered variants render a styled label, not the raw key.

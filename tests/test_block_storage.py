@@ -25,14 +25,12 @@ from repro.core.sbp import run_mcmc_phase
 from repro.errors import BackendError, BlockmodelError
 from repro.parallel.backend import get_backend
 from repro.sbm.block_storage import (
+    BLOCK_STORAGES,
     BlockState,
     DenseBlockState,
     HybridBlockState,
     RowCDF,
     SparseBlockState,
-    available_block_storages,
-    get_block_storage,
-    register_block_storage,
 )
 from repro.utils.timer import StopwatchPool
 
@@ -243,16 +241,16 @@ class TestSparseSpecifics:
 
 class TestRegistry:
     def test_builtins_listed(self):
-        names = available_block_storages()
+        names = BLOCK_STORAGES.names()
         assert "dense" in names and "sparse" in names and "hybrid" in names
 
     def test_get_unknown_raises(self):
         with pytest.raises(BackendError, match="unknown"):
-            get_block_storage("no-such-engine")
+            BLOCK_STORAGES.get("no-such-engine")
 
     def test_duplicate_register_raises(self):
         with pytest.raises(BackendError, match="already"):
-            register_block_storage("dense", DenseBlockState)
+            BLOCK_STORAGES.register("dense", DenseBlockState)
 
     def test_config_validates_storage_name(self):
         with pytest.raises(ValueError, match="block_storage"):
@@ -345,7 +343,7 @@ def _replay_pair(ops, start: np.ndarray) -> None:
 @pytest.fixture(scope="module")
 def recording_registered():
     try:
-        register_block_storage("recording", RecordingBlockState)
+        BLOCK_STORAGES.register("recording", RecordingBlockState)
     except BackendError:
         pass  # already registered by an earlier module run
     return "recording"

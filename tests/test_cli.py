@@ -43,9 +43,9 @@ class TestParser:
             )
 
     def test_detect_accepts_registered_variants(self):
-        from repro.mcmc.engine import available_variants
+        from repro.mcmc.engine import VARIANTS
 
-        for name in available_variants():
+        for name in VARIANTS.names():
             args = build_parser().parse_args(["detect", "g.txt", "--variant", name])
             assert args.variant == name
 
@@ -54,13 +54,13 @@ class TestParser:
             build_parser().parse_args(["detect", "g.txt", "--variant", "nope"])
 
 
-class TestVariantsCommand:
+class TestRegistryCommand:
     def test_lists_every_registered_spec(self, capsys):
-        from repro.mcmc.engine import available_variants
+        from repro.mcmc.engine import VARIANTS
 
-        assert main(["variants", "--list"]) == 0
+        assert main(["registry", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in available_variants():
+        for name in VARIANTS.names():
             assert name in out
         # plan segments are printed, not just names
         assert "serial[" in out and "frozen[" in out

@@ -1,4 +1,5 @@
-"""Unit/integration tests for the simulated distributed substrate."""
+"""Tests for the simulated message-passing world, the vertex partitioners
+and the sharded sweep over the ``sim`` transport."""
 
 from __future__ import annotations
 
@@ -7,9 +8,8 @@ import pytest
 
 from repro import Blockmodel
 from repro.distributed.comm import CommSpec, SimCommWorld
-from repro.distributed.dsbp import distributed_async_sweep, model_distributed_scaling
-from repro.distributed.graphdist import DistributedGraph
 from repro.distributed.partition import edge_cut, partition_stats, partition_vertices
+from repro.distributed.runtime import DistributedBackend
 from repro.errors import BackendError
 from repro.mcmc.async_gibbs import async_gibbs_sweep
 from repro.parallel.vectorized import VectorizedBackend
@@ -112,166 +112,68 @@ class TestPartitioning:
             partition_vertices(graph, 2, "metis")
 
 
-class TestDistributedGraph:
-    def test_cover_invariant(self, medium_graph):
-        graph, _ = medium_graph
-        for ranks in (1, 2, 5):
-            owner = partition_vertices(graph, ranks, "degree_balanced")
-            dgraph = DistributedGraph(graph, owner)
-            dgraph.check_cover()
-
-    def test_ghosts_are_cut_endpoints(self, medium_graph):
-        graph, _ = medium_graph
-        owner = partition_vertices(graph, 3, "hash")
-        dgraph = DistributedGraph(graph, owner)
-        for shard in dgraph.shards:
-            assert np.intersect1d(shard.owned, shard.ghosts).size == 0
-            # every ghost is adjacent to an owned vertex
-            endpoints = np.unique(shard.local_edges)
-            assert np.isin(shard.ghosts, endpoints).all()
-
-    def test_single_rank_no_ghosts(self, medium_graph):
-        graph, _ = medium_graph
-        dgraph = DistributedGraph(graph, np.zeros(graph.num_vertices, dtype=np.int64))
-        assert dgraph.total_ghosts == 0
-        assert dgraph.replication_factor == 1.0
-
-    def test_hash_partition_worst_replication(self, medium_graph):
-        """Hash scattering should inflate ghosts vs contiguous ranges."""
-        graph, _ = medium_graph
-        hash_dg = DistributedGraph(graph, partition_vertices(graph, 4, "hash"))
-        cont_dg = DistributedGraph(graph, partition_vertices(graph, 4, "contiguous"))
-        assert hash_dg.total_ghosts >= cont_dg.total_ghosts * 0.5  # sanity floor
-        assert hash_dg.replication_factor > 1.0
-
-    def test_bad_owner_shape(self, medium_graph):
-        graph, _ = medium_graph
-        with pytest.raises(ValueError):
-            DistributedGraph(graph, np.zeros(3, dtype=np.int64))
-
-
 class TestDistributedSweep:
     def _state(self, medium_graph):
         graph, _ = medium_graph
         rng = np.random.default_rng(13)
         assignment = rng.integers(0, 7, graph.num_vertices)
-        return graph, assignment
+        return graph, Blockmodel.from_assignment(graph, assignment, 7)
 
     @pytest.mark.parametrize("ranks", [1, 2, 4, 7])
     @pytest.mark.parametrize("strategy", ["contiguous", "degree_balanced"])
     def test_identical_to_single_node(self, medium_graph, ranks, strategy):
-        """The distribution invariant: results never depend on ranks."""
-        graph, assignment = self._state(medium_graph)
+        """The distribution invariant: decisions never depend on ranks."""
+        graph, bm = self._state(medium_graph)
+        vertices = np.arange(graph.num_vertices, dtype=np.int64)
         rand = SweepRandomness.draw(3, 5, 0, graph.num_vertices)
-
-        reference = Blockmodel.from_assignment(graph, assignment, 7)
-        async_gibbs_sweep(
-            reference, graph, np.arange(graph.num_vertices, dtype=np.int64),
-            rand, 3.0, VectorizedBackend(),
+        reference = VectorizedBackend().evaluate_sweep(
+            bm, graph, vertices, rand.uniforms, 3.0
         )
-
-        bm = Blockmodel.from_assignment(graph, assignment, 7)
-        owner = partition_vertices(graph, ranks, strategy)
-        dgraph = DistributedGraph(graph, owner)
-        world = SimCommWorld(ranks)
-        distributed_async_sweep(bm, dgraph, world, rand, 3.0, VectorizedBackend())
-
-        np.testing.assert_array_equal(bm.assignment, reference.assignment)
-        np.testing.assert_array_equal(bm.B, reference.B)
+        with DistributedBackend(
+            transport="sim", ranks=ranks, partition_strategy=strategy
+        ) as backend:
+            got = backend.evaluate_sweep(bm, graph, vertices, rand.uniforms, 3.0)
+        np.testing.assert_array_equal(got[0], reference[0])
+        np.testing.assert_array_equal(got[1], reference[1])
 
     def test_report_fields(self, medium_graph):
-        graph, assignment = self._state(medium_graph)
-        bm = Blockmodel.from_assignment(graph, assignment, 7)
-        owner = partition_vertices(graph, 4, "degree_balanced")
-        dgraph = DistributedGraph(graph, owner)
-        world = SimCommWorld(4)
+        graph, bm = self._state(medium_graph)
+        vertices = np.arange(graph.num_vertices, dtype=np.int64)
         rand = SweepRandomness.draw(5, 5, 0, graph.num_vertices)
-        report = distributed_async_sweep(
-            bm, dgraph, world, rand, 3.0, VectorizedBackend(),
-            seconds_per_unit=1e-6, rebuild_seconds=1e-3,
-        )
-        assert report.num_ranks == 4
-        assert report.makespan_seconds > 0
-        assert report.communication_bytes > 0
-        bm.check_consistency(graph)
+        with DistributedBackend(transport="sim", ranks=4) as backend:
+            backend.evaluate_sweep(bm, graph, vertices, rand.uniforms, 3.0)
+            report = backend.comm_report()
+        assert report["ranks"] == 4
+        assert report["p2p_messages"] == 3  # one delta per non-supervisor rank
+        assert report["p2p_bytes"] > 0
 
     def test_incremental_updater_barrier_identical(self, medium_graph):
-        """The shared-memory barrier engine drops in for the replica."""
-        from repro.parallel.backend import get_update_strategy
+        """The shared-memory barrier engine drops in behind the shards."""
+        from repro.parallel.backend import UPDATE_STRATEGIES
         from repro.utils.timer import StopwatchPool
 
-        graph, assignment = self._state(medium_graph)
+        graph, legacy = self._state(medium_graph)
+        _, bm = self._state(medium_graph)
+        vertices = np.arange(graph.num_vertices, dtype=np.int64)
         rand = SweepRandomness.draw(7, 5, 0, graph.num_vertices)
-        owner = partition_vertices(graph, 3, "degree_balanced")
-
-        legacy = Blockmodel.from_assignment(graph, assignment, 7)
-        distributed_async_sweep(
-            legacy, DistributedGraph(graph, owner), SimCommWorld(3),
-            rand, 3.0, VectorizedBackend(),
-        )
-
-        bm = Blockmodel.from_assignment(graph, assignment, 7)
-        updater = get_update_strategy("incremental", timers=StopwatchPool())
-        distributed_async_sweep(
-            bm, DistributedGraph(graph, owner), SimCommWorld(3),
-            rand, 3.0, VectorizedBackend(), updater=updater,
-        )
+        updater = UPDATE_STRATEGIES.get("incremental")(timers=StopwatchPool())
+        with DistributedBackend(transport="sim", ranks=3) as backend:
+            async_gibbs_sweep(legacy, graph, vertices, rand, 3.0, backend)
+            async_gibbs_sweep(bm, graph, vertices, rand, 3.0, backend, updater=updater)
         np.testing.assert_array_equal(bm.assignment, legacy.assignment)
         np.testing.assert_array_equal(bm.B, legacy.B)
 
     def test_report_carries_sweep_stats(self, medium_graph):
-        graph, assignment = self._state(medium_graph)
-        bm = Blockmodel.from_assignment(graph, assignment, 7)
-        owner = partition_vertices(graph, 4, "degree_balanced")
+        graph, bm = self._state(medium_graph)
+        vertices = np.arange(graph.num_vertices, dtype=np.int64)
         rand = SweepRandomness.draw(9, 5, 0, graph.num_vertices)
-        report = distributed_async_sweep(
-            bm, DistributedGraph(graph, owner), SimCommWorld(4),
-            rand, 3.0, VectorizedBackend(), record_work=True,
-        )
-        stats = report.stats
-        assert stats is not None
+        with DistributedBackend(transport="sim", ranks=4) as backend:
+            stats = async_gibbs_sweep(
+                bm, graph, vertices, rand, 3.0, backend, record_work=True
+            )
         assert stats.proposals == graph.num_vertices
-        assert stats.accepted == report.accepted_moves
-        assert stats.barrier_moved == report.accepted_moves
+        assert stats.barrier_moved == stats.accepted
         assert stats.work_per_vertex is not None
         assert stats.work_per_vertex.shape == (graph.num_vertices,)
         assert stats.work_per_vertex.sum() == stats.parallel_work
-
-        # without record_work the O(V) vector is stripped via without_work
-        bm2 = Blockmodel.from_assignment(graph, assignment, 7)
-        report2 = distributed_async_sweep(
-            bm2, DistributedGraph(graph, owner), SimCommWorld(4),
-            rand, 3.0, VectorizedBackend(),
-        )
-        assert report2.stats is not None
-        assert report2.stats.work_per_vertex is None
-        assert report2.stats.parallel_work == stats.parallel_work
-
-    def test_rank_mismatch_rejected(self, medium_graph):
-        graph, assignment = self._state(medium_graph)
-        bm = Blockmodel.from_assignment(graph, assignment, 7)
-        dgraph = DistributedGraph(graph, partition_vertices(graph, 2, "hash"))
-        world = SimCommWorld(3)
-        rand = SweepRandomness.draw(5, 5, 0, graph.num_vertices)
-        with pytest.raises(ValueError):
-            distributed_async_sweep(bm, dgraph, world, rand, 3.0, VectorizedBackend())
-
-
-class TestScalingModel:
-    def test_rows_and_invariance(self, medium_graph):
-        graph, _ = medium_graph
-        rng = np.random.default_rng(17)
-        assignment = rng.integers(0, 6, graph.num_vertices)
-        rows = model_distributed_scaling(
-            graph, assignment, rank_counts=[1, 2, 4], sweeps=2
-        )
-        assert [r["ranks"] for r in rows] == [1, 2, 4]
-        assert all(r["result_matches_1rank"] for r in rows)
-        # compute shrinks with ranks: modeled makespan improves
-        assert rows[-1]["makespan_s"] < rows[0]["makespan_s"]
-        # the allgather payload (moved vertices) is rank-count invariant;
-        # only its *time* cost varies (zero at 1 rank).
-        assert rows[0]["comm_bytes"] == rows[1]["comm_bytes"] == rows[2]["comm_bytes"]
-        # edge cut grows as the graph is split finer
-        assert rows[0]["edge_cut"] == 0.0
-        assert rows[1]["edge_cut"] < rows[2]["edge_cut"]
+        bm.check_consistency(graph)

@@ -25,23 +25,16 @@ import pytest
 from repro.core.sbp import run_sbp
 from repro.core.variants import SBPConfig
 from repro.diagnostics import run_health
+from repro.distributed import comm as comm_module
 from repro.distributed.chaos import FAULT_KINDS, ChaosSchedule, ChaosTransport
 from repro.distributed.comm import (
     FRAME_HEADER_BYTES,
     SimTransport,
     _payload_bytes,
-    available_transports,
     decode_frame,
     decode_payload,
     encode_frame,
     encode_payload,
-    get_transport,
-)
-from repro.distributed.graphdist import DistributedGraph
-from repro.distributed.halo import (
-    build_halo_plan,
-    halo_exchange_frames,
-    halo_exchange_moves,
 )
 from repro.distributed.partition import partition_vertices
 from repro.distributed.reliable import ReliableComm
@@ -51,6 +44,8 @@ from repro.graph.graph import Graph
 from repro.io.serialize import load_result, save_result
 from repro.parallel.backend import get_backend
 from repro.resilience.resilient import RetryPolicy
+from repro.sbm.blockmodel import Blockmodel
+from repro.utils.rng import SweepRandomness
 
 TRANSPORTS = ("sim", "inproc", "pipes")
 
@@ -212,7 +207,7 @@ class TestBackendSpec:
             DistributedBackend(inner_backend="distributed")
 
     def test_registry_lists_all_transports(self):
-        assert set(TRANSPORTS) <= set(available_transports())
+        assert set(TRANSPORTS) <= set(comm_module.TRANSPORTS.names())
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +263,7 @@ class TestFrameCodec:
 class TestReliableComm:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_in_order_exactly_once(self, transport):
-        with get_transport(transport, 2) as raw:
+        with comm_module.TRANSPORTS.get(transport)(2) as raw:
             comm = ReliableComm(raw)
             for i in range(20):
                 comm.send({"i": i}, source=0, dest=1)
@@ -276,7 +271,7 @@ class TestReliableComm:
                 assert comm.recv(source=0, dest=1)["i"] == i
 
     def test_dead_channel_times_out(self):
-        with get_transport("sim", 2) as raw:
+        with comm_module.TRANSPORTS.get("sim")(2) as raw:
             comm = ReliableComm(raw, policy=RetryPolicy(retries=2, timeout=0.01))
             with pytest.raises(ChannelTimeout):
                 comm.recv(source=1, dest=0)
@@ -353,7 +348,7 @@ class TestChaos:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_identical_injection_across_transports(self, transport):
         sched = ChaosSchedule(seed=9, **CHAOS_RATES)
-        with get_transport(transport, 2) as raw:
+        with comm_module.TRANSPORTS.get(transport)(2) as raw:
             chaos = ChaosTransport(raw, sched)
             comm = ReliableComm(chaos, policy=RetryPolicy(retries=16, timeout=0.05))
             for i in range(40):
@@ -364,7 +359,7 @@ class TestChaos:
             chaos.close()
         # The schedule is a pure function of (seed, channel, push index):
         # a second identical session injects the identical fault set.
-        with get_transport(transport, 2) as raw2:
+        with comm_module.TRANSPORTS.get(transport)(2) as raw2:
             chaos2 = ChaosTransport(raw2, ChaosSchedule(seed=9, **CHAOS_RATES))
             comm2 = ReliableComm(chaos2, policy=RetryPolicy(retries=16, timeout=0.05))
             for i in range(40):
@@ -385,75 +380,25 @@ class TestPartitionEdgeCases:
         owner = partition_vertices(graph, 8, strategy=strategy)
         assert owner.shape == (3,)
         assert owner.min() >= 0 and owner.max() < 8
-        dgraph = DistributedGraph(graph, owner, num_ranks=8)
-        assert dgraph.num_ranks == 8
-        dgraph.check_cover()
-        empty = [s for s in dgraph.shards if s.num_owned == 0]
-        assert empty, "8 ranks over 3 vertices must leave empty shards"
-        for shard in empty:
-            assert shard.num_ghosts == 0
-            assert shard.local_edges.shape[0] == 0
-
-    def test_explicit_num_ranks_below_owner_max_rejected(self):
-        graph = Graph(3, np.array([[0, 1], [1, 2]], dtype=np.int64))
-        with pytest.raises(ValueError):
-            DistributedGraph(graph, np.array([0, 1, 2], dtype=np.int64), num_ranks=2)
-
-    def test_zero_vertex_rank_exchanges_nothing(self):
-        graph = Graph(4, np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64))
-        owner = np.array([0, 0, 1, 1], dtype=np.int64)
-        dgraph = DistributedGraph(graph, owner, num_ranks=3)
-        plan = build_halo_plan(dgraph)
-        assert plan.peers_of(2) == []
-        moves = [
-            np.array([[0, 1]], dtype=np.int64),
-            np.empty((0, 2), dtype=np.int64),
-            np.empty((0, 2), dtype=np.int64),
-        ]
-        with get_transport("inproc", 3) as raw:
-            comm = ReliableComm(raw)
-            received = halo_exchange_frames(comm, plan, moves)
-        assert received[2].shape == (0, 2)
-
-    def test_isolated_vertices_ghost_nowhere(self):
-        # Vertices 3 and 4 have no edges at all.
-        graph = Graph(5, np.array([[0, 1], [1, 2]], dtype=np.int64))
-        owner = partition_vertices(graph, 2, strategy="contiguous")
-        dgraph = DistributedGraph(graph, owner)
-        dgraph.check_cover()
-        for shard in dgraph.shards:
-            assert not np.isin([3, 4], shard.ghosts).any()
+        # 8 ranks over 3 vertices leave empty shards, which only heartbeat.
+        bm = Blockmodel.from_assignment(graph, np.array([0, 1, 1]), 2)
+        vertices = np.arange(3, dtype=np.int64)
+        uniforms = SweepRandomness.draw(1, 1, 0, 3).uniforms
+        expected = get_backend("vectorized").evaluate_sweep(
+            bm, graph, vertices, uniforms, 3.0
+        )
+        with DistributedBackend(
+            transport="sim", ranks=8, partition_strategy=strategy
+        ) as backend:
+            got = backend.evaluate_sweep(bm, graph, vertices, uniforms, 3.0)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
 
     def test_distributed_run_with_more_ranks_than_busy_work(self, tiny_graph):
         # V=8 over 4 ranks: tiny shards, some possibly empty per segment.
         ref = _run(tiny_graph, "vectorized", seed=3)
         result = _run(tiny_graph, "distributed:sim:4", seed=3)
         _assert_same_chain(result, ref)
-
-
-class TestHaloFrames:
-    def test_matches_simworld_exchange(self, planted_graph):
-        graph, _ = planted_graph
-        owner = partition_vertices(graph, 3)
-        dgraph = DistributedGraph(graph, owner)
-        plan = build_halo_plan(dgraph)
-        rng = np.random.default_rng(5)
-        moves = []
-        for rank in range(3):
-            owned = dgraph.shard(rank).owned
-            chosen = owned[rng.random(owned.size) < 0.3]
-            moves.append(
-                np.stack([chosen, rng.integers(0, 3, chosen.size)], axis=1)
-            )
-        from repro.distributed.comm import SimCommWorld
-
-        expected = halo_exchange_moves(SimCommWorld(3), plan, moves)
-        with get_transport("pipes", 3) as raw:
-            comm = ReliableComm(raw)
-            got = halo_exchange_frames(comm, plan, moves)
-        assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            np.testing.assert_array_equal(g, e)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +483,7 @@ class TestTransportLifecycle:
     @pytest.mark.parametrize("transport", ["inproc", "pipes"])
     def test_close_reaps_threads(self, transport):
         before = threading.active_count()
-        t = get_transport(transport, 3)
+        t = comm_module.TRANSPORTS.get(transport)(3)
         comm = ReliableComm(t)
         for src in range(3):
             for dst in range(3):
@@ -553,11 +498,11 @@ class TestTransportLifecycle:
         assert threading.active_count() <= before
 
     def test_self_channel_rejected(self):
-        with get_transport("sim", 2) as t:
+        with comm_module.TRANSPORTS.get("sim")(2) as t:
             with pytest.raises(TransportError):
                 t.push(b"x", source=1, dest=1)
 
     def test_out_of_range_rank_rejected(self):
-        with get_transport("sim", 2) as t:
+        with comm_module.TRANSPORTS.get("sim")(2) as t:
             with pytest.raises(TransportError):
                 t.pull(source=0, dest=5)

@@ -7,10 +7,7 @@ import pytest
 
 from repro import Blockmodel, SBPConfig
 from repro.core.merge import block_merge_phase
-from repro.parallel.backend import (
-    available_merge_backends,
-    get_merge_backend,
-)
+from repro.parallel.backend import MERGE_BACKENDS
 from repro.parallel.merge import SerialMergeBackend, VectorizedMergeBackend
 from repro.utils.rng import philox_stream
 
@@ -144,12 +141,12 @@ class TestMergeBackendEquivalence:
             assert out.num_blocks == 1
 
     def test_registry(self):
-        names = available_merge_backends()
+        names = MERGE_BACKENDS.names()
         assert "serial" in names and "vectorized" in names
-        assert isinstance(get_merge_backend("serial"), SerialMergeBackend)
-        assert isinstance(get_merge_backend("vectorized"), VectorizedMergeBackend)
+        assert isinstance(MERGE_BACKENDS.get("serial")(), SerialMergeBackend)
+        assert isinstance(MERGE_BACKENDS.get("vectorized")(), VectorizedMergeBackend)
         with pytest.raises(Exception):
-            get_merge_backend("no-such-backend")
+            MERGE_BACKENDS.get("no-such-backend")()
 
     def test_timer_sections_populated(self, planted_graph):
         from repro.utils.timer import StopwatchPool

@@ -158,7 +158,7 @@ class TestCheckpointResume:
 
     def test_digest_ignores_backend_choice(self):
         a = SBPConfig(seed=4, backend="serial")
-        b = SBPConfig(seed=4, backend="process")
+        b = SBPConfig(seed=4, backend="distributed:pipes:2")
         c = SBPConfig(seed=5, backend="serial")
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(c)

@@ -30,12 +30,9 @@ from repro.mcmc.engine import (
 )
 from repro.metrics.nmi import normalized_mutual_information
 from repro.resilience.checkpoint import RunCheckpointer, config_digest
+from repro.sampling import samplers
 from repro.sampling.extension import extend_assignment
-from repro.sampling.samplers import (
-    available_samplers,
-    sample_graph,
-    sample_size,
-)
+from repro.sampling.samplers import sample_graph, sample_size
 from repro.sbm.entropy import xlogx
 from repro.types import PhaseTimings
 
@@ -83,7 +80,7 @@ def _weakly_connected(graph: Graph, vertices: np.ndarray) -> bool:
 
 class TestSamplers:
     def test_registry_lists_the_three_samplers(self):
-        assert list(available_samplers()) == sorted(SAMPLERS)
+        assert samplers.SAMPLERS.names() == sorted(SAMPLERS)
 
     def test_sample_size_ceil_and_clamp(self):
         assert sample_size(100, 0.1) == 10

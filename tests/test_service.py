@@ -31,18 +31,8 @@ from repro.graph.graph import Graph
 from repro.io.serialize import result_payload
 from repro.service.jobs import JOB_MODES, JobSpec, execute_job, job_digest
 from repro.service.orchestrator import Orchestrator, run_jobs_serially
-from repro.service.queue import (
-    JobState,
-    LeaseQueue,
-    available_job_queues,
-    get_job_queue,
-)
-from repro.service.store import (
-    DiskResultStore,
-    MemoryResultStore,
-    available_result_stores,
-    get_result_store,
-)
+from repro.service.queue import JOB_QUEUES, JobState, LeaseQueue
+from repro.service.store import RESULT_STORES, DiskResultStore, MemoryResultStore
 from repro.streaming.source import synthetic_churn_stream
 
 # Tiny-but-structured graphs keep every MCMC run in the sub-second range.
@@ -199,8 +189,8 @@ class TestResultStore:
         assert store.stats.evictions == 1
 
     def test_registry(self, engine, tmp_path):
-        assert engine in available_result_stores()
-        factory = get_result_store(engine)
+        assert engine in RESULT_STORES.names()
+        factory = RESULT_STORES.get(engine)
         store = (
             factory(tmp_path / "reg") if engine == "disk" else factory()
         )
@@ -436,10 +426,10 @@ class TestLeaseQueue:
             LeaseQueue(max_attempts=0)
         with pytest.raises(ServiceError):
             LeaseQueue(order="priority")
-        assert available_job_queues() == ["fifo", "lifo"]
-        assert get_job_queue("lifo")(lease_ttl=5.0).order == "lifo"
+        assert JOB_QUEUES.names() == ["fifo", "lifo"]
+        assert JOB_QUEUES.get("lifo")(lease_ttl=5.0).order == "lifo"
         with pytest.raises(ServiceError):
-            get_job_queue("no-such-queue")
+            JOB_QUEUES.get("no-such-queue")
 
 
 # ----------------------------------------------------------------------
@@ -657,6 +647,18 @@ class TestHTTPService:
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(base, "/no-such-endpoint")
         assert err.value.code == 404
+        # Non-scalar numeric fields answer with a JSON 400, not a dropped
+        # connection, and the server keeps serving.
+        for body in (
+            {"edges": [[0, 1], [1, 2]], "num_vertices": 3, "runs": [1]},
+            {"edges": [[0, 1], [1, 2]], "num_vertices": [3]},
+        ):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(base, "/submit", body)
+            assert 400 <= err.value.code < 500
+            assert "error" in json.loads(err.value.read())
+            status, raw = _get(base, "/health")
+            assert status == 200 and "queue" in json.loads(raw)
 
     def test_build_job_spec_sources(self):
         from repro.service.server import build_job_spec

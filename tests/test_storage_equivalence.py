@@ -191,9 +191,3 @@ class TestCLI:
         for name in ("dense", "sparse", "hybrid", "auto", "incremental",
                      "h-sbp"):
             assert name in out
-
-    def test_variants_deprecation_note(self, capsys):
-        assert main(["variants"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "h-sbp" in captured.out

@@ -37,14 +37,11 @@ from repro.resilience import RunCheckpointer
 from repro.sbm.entropy import normalized_description_length
 from repro.sbm.incremental import ProposalCache, apply_edge_delta
 from repro.streaming import (
+    DRIFT_POLICIES,
+    STREAM_SOURCES,
     EdgeStream,
     StreamSession,
-    available_drift_policies,
-    available_stream_sources,
     drift_value,
-    get_drift_policy,
-    get_stream_source,
-    register_drift_policy,
     synthetic_churn_stream,
 )
 from repro.streaming.drift import DriftPolicy
@@ -392,21 +389,21 @@ class TestDrift:
         assert drift_value(2.0, 1.5) == pytest.approx(-0.25)
 
     def test_builtin_policies(self):
-        names = available_drift_policies()
+        names = DRIFT_POLICIES.names()
         assert {"mdl-ratio", "always-warm", "always-cold"} <= set(names)
-        ratio = get_drift_policy("mdl-ratio")
+        ratio = DRIFT_POLICIES.get("mdl-ratio")
         assert ratio.should_cold_fit(0.10, 0.05)
         assert not ratio.should_cold_fit(0.01, 0.05)
-        assert not get_drift_policy("always-warm").should_cold_fit(9.9, 0.0)
-        assert get_drift_policy("always-cold").should_cold_fit(-1.0, 9.9)
+        assert not DRIFT_POLICIES.get("always-warm").should_cold_fit(9.9, 0.0)
+        assert DRIFT_POLICIES.get("always-cold").should_cold_fit(-1.0, 9.9)
 
     def test_unknown_policy_raises(self):
         with pytest.raises(ReproError, match="unknown drift policy"):
-            get_drift_policy("nope")
+            DRIFT_POLICIES.get("nope")
 
     def test_duplicate_registration_raises(self):
         with pytest.raises(ReproError, match="already registered"):
-            register_drift_policy(DriftPolicy(
+            DRIFT_POLICIES.register("mdl-ratio", DriftPolicy(
                 name="mdl-ratio", summary="dup",
                 should_cold_fit=lambda d, t: False,
             ))
@@ -417,11 +414,11 @@ class TestDrift:
 # ---------------------------------------------------------------------------
 class TestStreamSources:
     def test_registry(self):
-        names = available_stream_sources()
+        names = STREAM_SOURCES.names()
         assert {"synthetic-churn", "edgelist-dir"} <= set(names)
-        assert get_stream_source("synthetic-churn").build is synthetic_churn_stream
+        assert STREAM_SOURCES.get("synthetic-churn").build is synthetic_churn_stream
         with pytest.raises(ReproError, match="unknown stream source"):
-            get_stream_source("nope")
+            STREAM_SOURCES.get("nope")
 
     def test_synthetic_churn_deterministic(self):
         kwargs = dict(

@@ -20,6 +20,7 @@ from repro import Blockmodel, SBPConfig
 from repro.core.sbp import run_mcmc_phase
 from repro.errors import ReproError
 from repro.mcmc.engine import (
+    VARIANTS,
     AllVertices,
     DegreeBand,
     DegreeTop,
@@ -28,10 +29,7 @@ from repro.mcmc.engine import (
     SweepPlan,
     SweepSegment,
     VariantSpec,
-    available_variants,
     build_plan,
-    get_variant_spec,
-    register_variant,
     split_vertices_by_degree,
 )
 from repro.parallel.backend import get_backend
@@ -122,19 +120,19 @@ class TestPlanGrammar:
 class TestVariantRegistry:
     def test_builtins_registered(self):
         assert {"sbp", "a-sbp", "b-sbp", "h-sbp", "tiered"} <= set(
-            available_variants()
+            VARIANTS.names()
         )
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ReproError):
-            get_variant_spec("nope")
+            VARIANTS.get("nope")
         with pytest.raises(ReproError):
             SBPConfig(variant="nope")
 
     def test_duplicate_registration_rejected(self):
-        spec = get_variant_spec("sbp")
+        spec = VARIANTS.get("sbp")
         with pytest.raises(ReproError):
-            register_variant(spec)
+            VARIANTS.register("sbp", spec)
 
     def test_config_accepts_registered_string(self):
         config = SBPConfig(variant="tiered")
@@ -145,8 +143,8 @@ class TestVariantRegistry:
     def test_new_variant_needs_only_a_registry_entry(self, graph):
         """Acceptance criterion: a new variant = plan builder + register."""
         name = "test-reverse-hybrid"
-        if name not in available_variants():
-            register_variant(VariantSpec(
+        if name not in VARIANTS.names():
+            VARIANTS.register(name, VariantSpec(
                 name=name,
                 summary="frozen tail first, then serial top (test-only)",
                 build_plan=lambda config: SweepPlan(
