@@ -45,7 +45,7 @@ from repro.graph.properties import summarize
 from repro.mcmc.engine import VARIANTS, build_plan
 from repro.metrics.modularity import directed_modularity
 from repro.metrics.nmi import normalized_mutual_information
-from repro.parallel.backend import BACKENDS, MERGE_BACKENDS, UPDATE_STRATEGIES
+from repro.parallel.backend import BACKENDS
 from repro.sampling.samplers import SAMPLERS
 from repro.sbm.block_storage import AUTO_STORAGE, BLOCK_STORAGES
 from repro.service import JobSpec, execute_job
@@ -108,13 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "re-lease its vertices to survivors "
                              "(bit-identical), finish degraded with the "
                              "survivors (interrupted=true), or raise")
-    detect.add_argument("--merge-backend", default="vectorized",
-                        choices=["serial", "vectorized"],
-                        help="block-merge scan kernel (bit-identical results)")
-    detect.add_argument("--update-strategy", default="incremental",
-                        choices=["rebuild", "incremental"],
-                        help="sweep-barrier engine: O(E) full recount or "
-                             "O(deg(moved)) delta-apply (bit-identical results)")
     detect.add_argument("--block-storage", default="auto",
                         choices=[*BLOCK_STORAGES.names(), AUTO_STORAGE],
                         help="inter-block matrix engine: dense C x C arrays, "
@@ -278,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     registry = sub.add_parser(
         "registry",
         help="list every pluggable-engine registry (variants, execution "
-             "backends, merge backends, update strategies, samplers, block "
-             "storages, transports, drift policies, stream sources, result "
-             "stores, job queues)",
+             "backends, samplers, block storages, transports, drift "
+             "policies, stream sources, result stores, job queues)",
     )
     registry.add_argument("--list", action="store_true", dest="list_all",
                           help="print every registry section "
@@ -308,8 +300,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         tier_split=args.tier_split,
         backend=args.backend,
         shard_loss_policy=args.shard_loss_policy,
-        merge_backend=args.merge_backend,
-        update_strategy=args.update_strategy,
         block_storage=args.block_storage,
         sample_rate=args.sample_rate,
         sampler=args.sampler,
@@ -552,8 +542,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
 REGISTRIES: tuple[tuple[str, Registry], ...] = (
     ("variants (--variant)", VARIANTS),
     ("execution backends (--backend; 'resilient:<inner>' composes)", BACKENDS),
-    ("merge backends (--merge-backend)", MERGE_BACKENDS),
-    ("update strategies (--update-strategy)", UPDATE_STRATEGIES),
     ("samplers (--sampler, with --sample-rate < 1.0)", SAMPLERS),
     ("block storages (--block-storage)", BLOCK_STORAGES),
     ("transports (--backend distributed:<transport>:<ranks>)", TRANSPORTS),

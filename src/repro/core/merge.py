@@ -6,9 +6,8 @@ For every block, a handful of merge candidates are proposed and the best
 the globally best merges are applied greedily — following merge chains
 with a union-find — until the block count reaches the target.
 
-The candidate scan is delegated to a :class:`~repro.parallel.backend.
-MergeBackend` selected by ``config.merge_backend``: the serial oracle
-loop or the vectorized batch kernel (bit-identical decisions — see
+The candidate scan runs on the vectorized batch kernel, which picks
+merges bit-identical to the serial oracle loop (see
 :mod:`repro.parallel.merge`).
 """
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from repro.core.variants import SBPConfig
 from repro.graph.graph import Graph
-from repro.parallel.backend import MERGE_BACKENDS
+from repro.parallel.merge import VectorizedMergeBackend
 from repro.sbm.blockmodel import Blockmodel
 from repro.utils.rng import philox_stream
 from repro.utils.timer import StopwatchPool
@@ -56,7 +55,7 @@ def block_merge_phase(
     uniforms = rng.random((C, proposals, 4))
 
     timers = timers if timers is not None else StopwatchPool()
-    backend = MERGE_BACKENDS.get(config.merge_backend)()
+    backend = VectorizedMergeBackend()
     with timers.section("merge_scan"):
         best_delta, best_target = backend.evaluate_merges(bm, uniforms)
 

@@ -6,6 +6,7 @@ agglomerative outer loop and the block-merge phase are shared.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -78,16 +79,6 @@ class SBPConfig:
         ``interrupted=True``) or 'fail' (raise
         :class:`~repro.errors.ShardLost`). Ignored by non-distributed
         backends.
-    merge_backend:
-        Candidate-scan backend for the block-merge phase (Alg. 1):
-        'vectorized' (batch kernels) or 'serial' (the oracle loop).
-        Both pick bit-identical merges; only wall-clock differs.
-    update_strategy:
-        Sweep-barrier update engine: 'incremental' (O(Σ deg(moved))
-        scatter delta-apply + serial-path proposal caching) or
-        'rebuild' (the O(E) full-recount oracle). Both leave the
-        blockmodel byte-equal after every sweep; only wall-clock
-        differs.
     block_storage:
         Inter-block matrix storage engine from the
         :mod:`repro.sbm.block_storage` registry: 'dense' (contiguous
@@ -148,8 +139,6 @@ class SBPConfig:
     backend: str = "vectorized"
     backend_options: dict = field(default_factory=dict)
     shard_loss_policy: str = "recover"
-    merge_backend: str = "vectorized"
-    update_strategy: str = "incremental"
     block_storage: str = "auto"
     sample_rate: float = 1.0
     sampler: str = "degree-weighted"
@@ -180,6 +169,12 @@ class SBPConfig:
             raise ValueError("block_reduction_rate must lie in (0, 1)")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
+        if self.max_outer_iterations < 1:
+            raise ValueError("max_outer_iterations must be >= 1")
+        if self.mcmc_threshold < 0 or self.mcmc_threshold_final < 0:
+            raise ValueError("mcmc_threshold and mcmc_threshold_final must be >= 0")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.merge_proposals_per_block < 1:
             raise ValueError("merge_proposals_per_block must be >= 1")
         if self.num_batches < 1:
@@ -203,11 +198,6 @@ class SBPConfig:
             raise ValueError(
                 "shard_loss_policy must be 'recover', 'degrade' or 'fail', "
                 f"got {self.shard_loss_policy!r}"
-            )
-        if self.update_strategy not in ("rebuild", "incremental"):
-            raise ValueError(
-                "update_strategy must be 'rebuild' or 'incremental', "
-                f"got {self.update_strategy!r}"
             )
         # Validated against the registry so in-test/plugin engines are
         # accepted; imported lazily (leaf module, no cycle risk). The

@@ -8,10 +8,9 @@ blockmodel, owned-vertex evaluation, deltas gathered at the barrier):
 
 * :mod:`repro.distributed.comm` — the :class:`Transport` protocol
   (framed, CRC32-checksummed byte channels) with the ``sim`` engine,
-  which rides a simulated message-passing world (:class:`SimCommWorld`:
-  per-rank virtual clocks and a latency/bandwidth cost model);
-  :mod:`repro.distributed.wire` adds ``inproc`` (courier threads +
-  queues) and ``pipes`` (multiprocessing connections);
+  an in-process per-channel FIFO; :mod:`repro.distributed.wire` adds
+  ``inproc`` (courier threads + queues) and ``pipes``
+  (multiprocessing connections);
 * :mod:`repro.distributed.partition` — vertex partitioners (contiguous,
   hash, degree-balanced) with edge-cut accounting;
 * :mod:`repro.distributed.chaos` — seeded wire-fault injection
@@ -36,8 +35,6 @@ from repro.distributed.chaos import FAULT_KINDS, ChaosSchedule, ChaosTransport
 from repro.distributed.comm import (
     TRANSPORTS,
     CommLedger,
-    CommSpec,
-    SimCommWorld,
     SimTransport,
     Transport,
     decode_frame,
@@ -54,8 +51,6 @@ from repro.distributed.wire import InprocTransport, PipesTransport
 
 __all__ = [
     "CommLedger",
-    "CommSpec",
-    "SimCommWorld",
     "PartitionStats",
     "partition_vertices",
     "edge_cut",

@@ -1,31 +1,18 @@
-"""Message-passing primitives for distributed SBP.
+"""Wire layer for distributed SBP: framed byte channels between ranks.
 
-Two layers live here. The *simulated world* (:class:`SimCommWorld`)
-mirrors the mpi4py surface the design would use on a real cluster
-(send/recv, broadcast, allgather, allreduce, barrier), executed inside
-one process: every rank owns a virtual clock, point-to-point messages
-carry payload bytes, and collectives are charged with the standard
-log2(P) tree model
-
-    T_collective = ceil(log2 P) * (latency + bytes / bandwidth).
-
-The ledger (message counts, bytes by operation) is what the distributed
-SBP bench reports; the virtual clocks drive the modeled scaling curves.
-
-The *wire layer* is the :class:`Transport` protocol: one-way framed byte
-channels between ranks, behind a registry (``sim`` here — frames riding
-the virtual-clock world — plus ``inproc`` and ``pipes`` in
+The :class:`Transport` protocol carries one-way framed byte channels
+between ranks, behind a registry (``sim`` here — an in-process
+per-channel FIFO — plus ``inproc`` and ``pipes`` in
 :mod:`repro.distributed.wire`). Every frame is length-prefixed and
 CRC32-checksummed (:func:`encode_frame`/:func:`decode_frame`) so a
 truncated or bit-flipped delta is *detected* and quarantined, never
 silently applied to a replica. Reliability (retry, dedupe, reordering)
-is layered on top by :mod:`repro.distributed.reliable`.
+and the :class:`CommLedger` byte accounting are layered on top by
+:mod:`repro.distributed.reliable`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
 import pickle
 import struct
 import zlib
@@ -34,15 +21,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from repro.errors import BackendError, FrameError, TransportError
+from repro.errors import FrameError, TransportError
 from repro.utils.registry import Registry
 
 __all__ = [
-    "CommSpec",
     "CommLedger",
-    "SimCommWorld",
     "FRAME_MAGIC",
     "FRAME_HEADER_BYTES",
     "encode_payload",
@@ -55,30 +38,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CommSpec:
-    """Network parameters of the simulated cluster.
-
-    Defaults approximate a commodity 100 Gb/s fabric: 2 microseconds
-    one-way latency, 12.5 GB/s effective per-rank bandwidth.
-    """
-
-    latency_seconds: float = 2e-6
-    bandwidth_bytes_per_second: float = 12.5e9
-
-    def transfer_seconds(self, num_bytes: int) -> float:
-        return self.latency_seconds + num_bytes / self.bandwidth_bytes_per_second
-
-    def collective_seconds(self, num_ranks: int, num_bytes: int) -> float:
-        if num_ranks <= 1:
-            return 0.0
-        rounds = math.ceil(math.log2(num_ranks))
-        return rounds * self.transfer_seconds(num_bytes)
-
-
 @dataclass
 class CommLedger:
-    """Accumulated communication accounting for one world or channel set.
+    """Accumulated point-to-point accounting for one channel set.
 
     ``retries`` counts frame retransmissions (each also re-charged to
     the byte counters — retransmitted bytes really cross the wire) and
@@ -88,172 +50,18 @@ class CommLedger:
 
     point_to_point_messages: int = 0
     point_to_point_bytes: int = 0
-    collective_calls: int = 0
-    collective_bytes: int = 0
     retries: int = 0
     frames_quarantined: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.point_to_point_bytes + self.collective_bytes
 
     def as_row(self) -> dict[str, int]:
         return {
             "p2p_messages": self.point_to_point_messages,
             "p2p_bytes": self.point_to_point_bytes,
-            "collective_calls": self.collective_calls,
-            "collective_bytes": self.collective_bytes,
-            "total_bytes": self.total_bytes,
+            # Every byte crosses a point-to-point channel.
+            "total_bytes": self.point_to_point_bytes,
             "retries": self.retries,
             "frames_quarantined": self.frames_quarantined,
         }
-
-
-def _payload_bytes(payload: object) -> int:
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, (int, float, bool, np.integer, np.floating)):
-        return 8
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8"))
-    if isinstance(payload, (list, tuple)):
-        return sum(_payload_bytes(x) for x in payload)
-    if isinstance(payload, dict):
-        return sum(
-            _payload_bytes(k) + _payload_bytes(v) for k, v in payload.items()
-        )
-    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        return sum(
-            _payload_bytes(getattr(payload, f.name))
-            for f in dataclasses.fields(payload)
-        )
-    if payload is None:
-        return 0
-    # fall back to a conservative struct estimate
-    return 64
-
-
-class SimCommWorld:
-    """A fixed-size communicator of simulated ranks.
-
-    Rank code runs round-robin inside the caller's process; the world
-    tracks one virtual clock per rank and advances them according to the
-    compute time each rank reports (:meth:`advance_compute`) and the
-    modeled cost of every communication call.
-    """
-
-    def __init__(self, num_ranks: int, spec: CommSpec | None = None) -> None:
-        if num_ranks < 1:
-            raise BackendError(f"num_ranks must be >= 1, got {num_ranks}")
-        self.num_ranks = num_ranks
-        self.spec = spec or CommSpec()
-        self.ledger = CommLedger()
-        self._clocks = np.zeros(num_ranks, dtype=np.float64)
-        self._queues: dict[tuple[int, int], deque] = {}
-
-    # ------------------------------------------------------------------
-    # Virtual time
-    # ------------------------------------------------------------------
-    def advance_compute(self, rank: int, seconds: float) -> None:
-        """Charge ``seconds`` of local computation to ``rank``'s clock."""
-        if seconds < 0:
-            raise ValueError("compute time cannot be negative")
-        self._clocks[self._check_rank(rank)] += seconds
-
-    def clock(self, rank: int) -> float:
-        return float(self._clocks[self._check_rank(rank)])
-
-    @property
-    def makespan(self) -> float:
-        """The slowest rank's clock — the simulated wall-clock."""
-        return float(self._clocks.max())
-
-    # ------------------------------------------------------------------
-    # Point-to-point
-    # ------------------------------------------------------------------
-    def send(self, payload: object, source: int, dest: int) -> None:
-        """Queue a message; cost charged to the sender's clock."""
-        source = self._check_rank(source)
-        dest = self._check_rank(dest)
-        if source == dest:
-            raise BackendError("send to self; use local state instead")
-        nbytes = _payload_bytes(payload)
-        self.ledger.point_to_point_messages += 1
-        self.ledger.point_to_point_bytes += nbytes
-        self._clocks[source] += self.spec.transfer_seconds(nbytes)
-        self._queues.setdefault((source, dest), deque()).append(
-            (payload, float(self._clocks[source]))
-        )
-
-    def recv(self, source: int, dest: int) -> object:
-        """Dequeue the next message; receiver waits for its arrival."""
-        source = self._check_rank(source)
-        dest = self._check_rank(dest)
-        queue = self._queues.get((source, dest))
-        if not queue:
-            raise BackendError(f"no message pending from rank {source} to {dest}")
-        payload, arrival = queue.popleft()
-        self._clocks[dest] = max(float(self._clocks[dest]), arrival)
-        return payload
-
-    def pending(self, source: int, dest: int) -> bool:
-        """True when a message from ``source`` awaits ``dest``."""
-        return bool(
-            self._queues.get((self._check_rank(source), self._check_rank(dest)))
-        )
-
-    # ------------------------------------------------------------------
-    # Collectives (synchronizing: all clocks meet, then pay tree cost)
-    # ------------------------------------------------------------------
-    def barrier(self) -> None:
-        self._synchronize(0)
-
-    def broadcast(self, payload: object, root: int) -> list[object]:
-        """Every rank receives ``payload`` from ``root``."""
-        self._check_rank(root)
-        self._synchronize(_payload_bytes(payload))
-        return [payload for _ in range(self.num_ranks)]
-
-    def allgather(self, contributions: list[object]) -> list[object]:
-        """Each rank contributes one item; all ranks get the full list."""
-        if len(contributions) != self.num_ranks:
-            raise BackendError(
-                f"allgather needs {self.num_ranks} contributions, "
-                f"got {len(contributions)}"
-            )
-        nbytes = sum(_payload_bytes(c) for c in contributions)
-        self._synchronize(nbytes)
-        return list(contributions)
-
-    def allreduce_sum(self, values: list[float]) -> float:
-        """Sum-reduce one scalar per rank; all ranks get the total."""
-        if len(values) != self.num_ranks:
-            raise BackendError(
-                f"allreduce needs {self.num_ranks} values, got {len(values)}"
-            )
-        self._synchronize(8)
-        return float(sum(values))
-
-    # ------------------------------------------------------------------
-    def _synchronize(self, nbytes: int) -> None:
-        self.ledger.collective_calls += 1
-        self.ledger.collective_bytes += nbytes
-        meet = self.makespan
-        cost = self.spec.collective_seconds(self.num_ranks, nbytes)
-        self._clocks[:] = meet + cost
-
-    def _check_rank(self, rank: int) -> int:
-        rank = int(rank)
-        if not 0 <= rank < self.num_ranks:
-            raise BackendError(
-                f"rank {rank} out of range [0, {self.num_ranks})"
-            )
-        return rank
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimCommWorld(ranks={self.num_ranks}, makespan={self.makespan:.3g}s)"
 
 
 # ----------------------------------------------------------------------
@@ -379,31 +187,25 @@ class Transport(ABC):
 
 
 class SimTransport(Transport):
-    """Frames riding the virtual-clock world — zero OS resources.
+    """In-process per-channel FIFO — zero OS resources.
 
     The deterministic default: delivery is instantaneous (a ``push`` is
-    ``pull``-able immediately) and every byte is still charged to the
-    :class:`SimCommWorld` clocks and ledger, so modeled scaling numbers
-    keep working when the sweep runs over the framed wire.
+    ``pull``-able immediately, in push order).
     """
 
     name = "sim"
 
-    def __init__(self, num_ranks: int, spec: CommSpec | None = None) -> None:
+    def __init__(self, num_ranks: int) -> None:
         super().__init__(num_ranks)
-        self.world = SimCommWorld(num_ranks, spec)
+        self._channels: dict[tuple[int, int], deque[bytes]] = {}
 
     def push(self, frame: bytes, source: int, dest: int) -> None:
-        source, dest = self._check_pair(source, dest)
-        self.world.send(frame, source, dest)
+        pair = self._check_pair(source, dest)
+        self._channels.setdefault(pair, deque()).append(frame)
 
     def pull(self, source: int, dest: int, timeout: float = 0.0) -> bytes | None:
-        source, dest = self._check_pair(source, dest)
-        if not self.world.pending(source, dest):
-            return None
-        frame = self.world.recv(source, dest)
-        assert isinstance(frame, bytes)
-        return frame
+        channel = self._channels.get(self._check_pair(source, dest))
+        return channel.popleft() if channel else None
 
 
 TRANSPORTS: Registry[Callable[..., Transport]] = Registry(

@@ -1,7 +1,7 @@
 """Real-wire transports: courier threads and OS pipes.
 
 Where :class:`~repro.distributed.comm.SimTransport` delivers frames
-instantly under virtual clocks, the two engines here move real bytes
+instantly from an in-process FIFO, the two engines here move real bytes
 through real concurrency machinery, so the reliable layer's timeout /
 retry / quarantine behaviour is exercised against genuine races:
 

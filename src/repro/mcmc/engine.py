@@ -57,6 +57,7 @@ from repro.mcmc.async_gibbs import async_gibbs_sweep
 from repro.mcmc.convergence import ConvergenceMonitor
 from repro.mcmc.metropolis import metropolis_sweep
 from repro.parallel.partitioner import contiguous_chunks
+from repro.sbm.incremental import IncrementalUpdater
 from repro.types import IntArray, SweepStats
 from repro.utils.registry import Registry
 from repro.utils.rng import SweepRandomness
@@ -384,8 +385,8 @@ class SweepEngine:
         :class:`~repro.utils.timer.StopwatchPool` accruing the ``mcmc``
         and ``rebuild`` buckets.
     updater:
-        Sweep-barrier engine; defaults to the one named by
-        ``config.update_strategy``.
+        Sweep-barrier engine; defaults to an
+        :class:`~repro.sbm.incremental.IncrementalUpdater`.
     on_sweep:
         Optional callback ``(sweep_index, stats, mdl)`` invoked after
         every sweep — diagnostics/tracing hook, must not mutate state.
@@ -407,9 +408,7 @@ class SweepEngine:
         self.mcmc_timer = timers.timer("mcmc")
         self.rebuild_timer = timers.timer("rebuild")
         if updater is None:
-            from repro.parallel.backend import UPDATE_STRATEGIES
-
-            updater = UPDATE_STRATEGIES.get(config.update_strategy)(timers=timers)
+            updater = IncrementalUpdater(timers=timers)
         self.updater = updater
         self.on_sweep = on_sweep
 

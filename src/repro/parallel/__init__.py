@@ -16,8 +16,9 @@ interchangeable executors for that stage:
   128-core machine.
 
 The block-merge phase (Alg. 1) has its own backend pair in
-:mod:`repro.parallel.merge` — a serial candidate-scan oracle and a
-vectorized batch kernel — selected via ``SBPConfig.merge_backend``.
+:mod:`repro.parallel.merge`: the vectorized batch kernel every run uses
+and the serial candidate-scan oracle the equivalence tests compare it
+against.
 
 All backends produce identical accept/reject decisions for a given seed
 because the per-sweep randomness is pre-drawn in vertex order
@@ -26,7 +27,6 @@ because the per-sweep randomness is pre-drawn in vertex order
 
 from repro.parallel.backend import (
     BACKENDS,
-    MERGE_BACKENDS,
     ExecutionBackend,
     MergeBackend,
     get_backend,
@@ -41,7 +41,6 @@ __all__ = [
     "ExecutionBackend",
     "MergeBackend",
     "BACKENDS",
-    "MERGE_BACKENDS",
     "get_backend",
     "SerialBackend",
     "VectorizedBackend",

@@ -1,12 +1,14 @@
-"""The three sweep-phase engine protocols and their registries.
+"""The three sweep-phase engine protocols.
 
-* :class:`ExecutionBackend` (``BACKENDS``) evaluates an asynchronous
-  Gibbs sweep: ``serial``, ``vectorized``, ``distributed`` and the
-  ``resilient`` wrapper;
-* :class:`MergeBackend` (``MERGE_BACKENDS``) scans block-merge
-  candidates: ``serial`` and ``vectorized``;
-* :class:`SweepUpdater` (``UPDATE_STRATEGIES``) applies a sweep's moves
-  at the barrier: ``rebuild`` and ``incremental``.
+* :class:`ExecutionBackend` (the ``BACKENDS`` registry) evaluates an
+  asynchronous Gibbs sweep: ``serial``, ``vectorized``, ``distributed``
+  and the ``resilient`` wrapper;
+* :class:`MergeBackend` scans block-merge candidates. Production always
+  runs :class:`~repro.parallel.merge.VectorizedMergeBackend`; the serial
+  scan is the oracle the equivalence tests inject in its place;
+* :class:`SweepUpdater` applies a sweep's moves at the barrier.
+  Production always runs :class:`~repro.sbm.incremental.
+  IncrementalUpdater`; the O(E) ``RebuildUpdater`` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ __all__ = [
     "BACKENDS",
     "get_backend",
     "MergeBackend",
-    "MERGE_BACKENDS",
     "SweepUpdater",
-    "UPDATE_STRATEGIES",
-    "get_update_strategy",
-    "available_update_strategies",
 ]
 
 
@@ -126,11 +124,6 @@ class MergeBackend(ABC):
         """
 
 
-MERGE_BACKENDS: Registry[Callable[..., MergeBackend]] = Registry(
-    "merge backend", BackendError, builtins=("repro.parallel.merge",)
-)
-
-
 class SweepUpdater(ABC):
     """Reconciles the blockmodel with a sweep's accepted moves.
 
@@ -164,18 +157,3 @@ class SweepUpdater(ABC):
     def make_proposal_cache(self, bm: Blockmodel):
         """Per-sweep proposal-row cache for serial passes (None = uncached)."""
         return None
-
-
-UPDATE_STRATEGIES: Registry[Callable[..., SweepUpdater]] = Registry(
-    "update strategy", BackendError, builtins=("repro.sbm.incremental",)
-)
-
-
-# Name-level entry points kept because the update-strategy equivalence
-# suite imports them; library code uses UPDATE_STRATEGIES directly.
-def get_update_strategy(name: str, **kwargs) -> SweepUpdater:
-    """Instantiate an update strategy by name: 'rebuild' or 'incremental'."""
-    return UPDATE_STRATEGIES.get(name)(**kwargs)
-
-
-available_update_strategies = UPDATE_STRATEGIES.names

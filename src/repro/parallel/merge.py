@@ -21,15 +21,16 @@ evaluates the same candidates with numpy batch kernels —
 3. **Select** each block's best candidate by first-occurrence argmin,
    matching the serial strict-``<`` scan on ties.
 
-Both backends therefore pick bit-identical merges; the equivalence is
-asserted in ``tests/test_merge_phase.py``.
+Both backends therefore pick bit-identical merges. The block-merge phase
+always runs the vectorized kernel; the equivalence tests inject the
+serial oracle in its place (``tests/test_merge_phase.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.backend import MERGE_BACKENDS, MergeBackend
+from repro.parallel.backend import MergeBackend
 from repro.sbm.blockmodel import Blockmodel
 from repro.sbm.delta import merge_delta, merge_delta_batch
 from repro.sbm.moves import propose_block_merge, propose_block_merges_batch
@@ -78,7 +79,3 @@ class VectorizedMergeBackend(MergeBackend):
         best_j = np.argmin(deltas, axis=1)  # first occurrence, as serial `<`
         rows = np.arange(C)
         return deltas[rows, best_j], targets[rows, best_j]
-
-
-MERGE_BACKENDS.register("serial", SerialMergeBackend)
-MERGE_BACKENDS.register("vectorized", VectorizedMergeBackend)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.mcmc.evaluate import evaluate_vertex
 from repro.parallel.backend import BACKENDS, ExecutionBackend
 from repro.sbm.blockmodel import Blockmodel
 from repro.types import IntArray
@@ -30,6 +29,10 @@ class SerialBackend(ExecutionBackend):
         uniforms: np.ndarray,
         beta: float,
     ) -> tuple[np.ndarray, IntArray]:
+        # Imported here, not at module level: repro.mcmc imports
+        # repro.sbm.incremental, which imports this package (a cycle).
+        from repro.mcmc.evaluate import evaluate_vertex
+
         count = len(vertices)
         accepted = np.zeros(count, dtype=bool)
         targets = np.empty(count, dtype=np.int64)

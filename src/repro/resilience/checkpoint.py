@@ -56,15 +56,14 @@ _CHECKPOINT_VERSION = 1
 _MANIFEST_RE = re.compile(r"^state_(\d{5})\.json$")
 
 #: Config fields that determine the chain (and therefore the result).
-#: Backend choices are deliberately excluded: every execution/merge
-#: backend is bit-identical by construction, so a run checkpointed under
+#: Backend choices are deliberately excluded: every execution backend is
+#: bit-identical by construction, so a run checkpointed under
 #: ``--backend distributed:pipes:2`` may resume under ``--backend serial``.
-#: ``update_strategy`` and ``block_storage`` ARE included even though
-#: their engines are bit-identical too: each maintains state through a
-#: different code path (delta-apply vs recount; dense vs sparse matrix),
-#: so a resume that silently switched engines would mask exactly the
-#: class of drift the equivalence tests exist to catch — a mismatch is
-#: rejected, not papered over.
+#: ``block_storage`` IS included even though its engines are
+#: bit-identical too: dense and sparse matrices maintain state through
+#: different code paths, so a resume that silently switched engines would
+#: mask exactly the class of drift the equivalence tests exist to catch —
+#: a mismatch is rejected, not papered over.
 _DETERMINISM_FIELDS = (
     "variant",
     "seed",
@@ -77,7 +76,6 @@ _DETERMINISM_FIELDS = (
     "max_sweeps",
     "merge_proposals_per_block",
     "block_reduction_rate",
-    "update_strategy",
     "block_storage",
     # SamBaS front-end: the sample (and therefore every later chain
     # position) is a pure function of these, so a resume under a

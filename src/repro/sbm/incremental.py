@@ -26,11 +26,10 @@ arithmetic, not an approximation):
   draw consumes the identical uniforms and lands on the identical
   block.
 
-Both engines are dispatched through the
-:func:`~repro.parallel.backend.get_update_strategy` registry (mirroring
-the PR-1 ``MergeBackend`` pattern): ``rebuild`` is the retained O(E)
-oracle, ``incremental`` the delta engine; ``SBPConfig.update_strategy``
-/ ``--update-strategy`` selects one. The ``verify_every`` audit hook of
+Both barrier engines implement :class:`~repro.parallel.backend.
+SweepUpdater`: :class:`IncrementalUpdater` is the one every run uses,
+and :class:`RebuildUpdater` is the retained O(E) oracle the equivalence
+tests inject in its place. The ``verify_every`` audit hook of
 :class:`IncrementalUpdater` reuses the resilience layer's
 :class:`~repro.resilience.audit.InvariantAuditor` to assert the
 exact-equality claim against a recount on a configurable cadence.
@@ -41,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.parallel.backend import UPDATE_STRATEGIES, SweepUpdater
+from repro.parallel.backend import SweepUpdater
 from repro.sbm import kernels as _K
 from repro.sbm.block_storage import RowCDF
 from repro.sbm.blockmodel import Blockmodel
@@ -392,7 +391,3 @@ class IncrementalUpdater(_TimedUpdater):
         apply_sweep_delta(
             bm, graph, moved_vertices, moved_targets, scratch_mask=self._scratch
         )
-
-
-UPDATE_STRATEGIES.register("rebuild", RebuildUpdater)
-UPDATE_STRATEGIES.register("incremental", IncrementalUpdater)

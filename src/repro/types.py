@@ -45,11 +45,11 @@ class PhaseTimings:
 
     ``barrier_rebuild`` and ``barrier_apply`` are likewise sub-buckets
     of ``rebuild``, splitting the per-sweep synchronization barrier by
-    update strategy: a full O(E) blockmodel recount (the ``rebuild``
-    engine) versus the O(Σ deg(moved)) scatter delta-apply (the
-    ``incremental`` engine). A run uses one engine, so at most one
-    bucket is non-zero — the Fig. 2 breakdown reads them to show where
-    the barrier time went.
+    engine: a full O(E) blockmodel recount (the ``rebuild`` oracle the
+    equivalence tests inject) versus the O(Σ deg(moved)) scatter
+    delta-apply (the ``incremental`` engine every run uses). A run uses
+    one engine, so at most one bucket is non-zero — the Fig. 2
+    breakdown reads them to show where the barrier time went.
 
     ``peak_rss_bytes``, ``b_nnz`` and ``b_density`` are memory *gauges*,
     not accumulators: peak process RSS sampled at the end of the run,

@@ -1,11 +1,11 @@
 """One name → entry table for every family of pluggable engines.
 
-Execution backends, merge backends, update strategies, block storages,
-transports, variants, samplers, drift policies, stream sources, result
-stores and job queues are each one module-level :class:`Registry`
-instance beside the protocol they implement. An entry is whatever the
-family needs to hand out — a factory, a class or a spec dataclass —
-and callers look it up and use it directly::
+Execution backends, block storages, transports, variants, samplers,
+drift policies, stream sources, result stores and job queues are each
+one module-level :class:`Registry` instance beside the protocol they
+implement. An entry is whatever the family needs to hand out — a
+factory, a class or a spec dataclass — and callers look it up and use
+it directly::
 
     backend = BACKENDS.get("vectorized")(**options)
 

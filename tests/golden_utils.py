@@ -1,4 +1,4 @@
-"""Shared helpers for the golden-trajectory equivalence suite.
+"""Shared helpers for the golden-trajectory and oracle equivalence suites.
 
 The sweep-plan engine refactor (mcmc/engine.py) is only safe because the
 repo holds it to the established bar: **byte-equal trajectories** against
@@ -22,15 +22,24 @@ Two probe families:
     One end-to-end ``run_sbp`` (agglomerative search included),
     recording the final assignment, the (C, MDL) search history and the
     per-sweep delta-MDL / acceptance sequences.
+
+Both probes take the fixture's update ``strategy``: ``incremental`` is
+the barrier every run uses, ``rebuild`` runs the same probe with the
+O(E) recount oracle injected by :func:`injected_oracle`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
+
 import numpy as np
+import pytest
 
 from repro import Blockmodel, DCSBMParams, SBPConfig, generate_dcsbm
 from repro.core.sbp import run_mcmc_phase, run_sbp
 from repro.parallel.backend import get_backend
+from repro.parallel.merge import SerialMergeBackend
+from repro.sbm.incremental import RebuildUpdater
 from repro.utils.timer import StopwatchPool
 
 #: The pre-refactor equivalence matrix: every variant x update strategy
@@ -96,12 +105,51 @@ class TracingBlockmodel(Blockmodel):
         return value
 
 
-def make_config(variant: str, strategy: str, backend: str, seed: int,
-                **overrides) -> SBPConfig:
+#: Oracle name -> (production module, engine class it builds, the oracle).
+#: Production offers no switch for either engine; the gates rebind the one
+#: module attribute the production site resolves.
+ORACLE_SITES = {
+    "rebuild": ("repro.mcmc.engine", "IncrementalUpdater", RebuildUpdater),
+    "serial": ("repro.core.merge", "VectorizedMergeBackend", SerialMergeBackend),
+}
+
+
+@contextmanager
+def injected_oracle(name: str):
+    """Run the enclosed block with a production engine swapped for its oracle.
+
+    ``"rebuild"`` makes every :class:`~repro.mcmc.engine.SweepEngine`
+    default to the O(E) recount barrier instead of the delta-apply;
+    ``"serial"`` makes the block-merge phase scan candidates with the
+    scalar loop instead of the batch kernel. The yielded class counts its
+    instantiations, and a block that never built the oracle fails on
+    exit, so a patch aimed at the wrong attribute cannot pass vacuously.
+    """
+    module, attr, oracle = ORACLE_SITES[name]
+
+    class Counted(oracle):
+        instances = 0
+
+        def __init__(self, *args, **kwargs):
+            Counted.instances += 1
+            super().__init__(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(f"{module}.{attr}", Counted)
+        yield Counted
+    assert Counted.instances > 0, f"{module}.{attr} never built the {name} oracle"
+
+
+def sweep_barrier(strategy: str):
+    """Context that runs sweeps under the fixture's update ``strategy``."""
+    assert strategy in GOLDEN_STRATEGIES, strategy
+    return injected_oracle("rebuild") if strategy == "rebuild" else nullcontext()
+
+
+def make_config(variant: str, backend: str, seed: int, **overrides) -> SBPConfig:
     kwargs = dict(
         variant=variant,
         seed=seed,
-        update_strategy=strategy,
         backend=backend,
         num_batches=NUM_BATCHES,
     )
@@ -118,7 +166,7 @@ def trace_phase(graph, variant: str, strategy: str, backend_name: str,
     A zero threshold plus ``max_sweeps=PHASE_SWEEPS`` pins the sweep
     count (the windowed mean |dMDL| is never strictly below 0).
     """
-    config = make_config(variant, strategy, backend_name, seed,
+    config = make_config(variant, backend_name, seed,
                          max_sweeps=PHASE_SWEEPS, **overrides)
     bm = TracingBlockmodel.from_assignment(
         graph, start_assignment(graph), START_BLOCKS,
@@ -126,9 +174,10 @@ def trace_phase(graph, variant: str, strategy: str, backend_name: str,
     )
     backend = get_backend(config.backend)
     try:
-        run_mcmc_phase(
-            bm, graph, config, backend, PHASE_ITERATION, 0.0, StopwatchPool()
-        )
+        with sweep_barrier(strategy):
+            run_mcmc_phase(
+                bm, graph, config, backend, PHASE_ITERATION, 0.0, StopwatchPool()
+            )
     finally:
         backend.close()
     return np.stack(bm.trace_assignments), np.asarray(bm.trace_mdl)
@@ -137,9 +186,10 @@ def trace_phase(graph, variant: str, strategy: str, backend_name: str,
 def run_full(graph, variant: str, strategy: str, backend_name: str,
              seed: int, **overrides) -> dict[str, np.ndarray]:
     """Run one end-to-end ``run_sbp``; return the trajectory summary."""
-    config = make_config(variant, strategy, backend_name, seed,
+    config = make_config(variant, backend_name, seed,
                          record_work=True, **overrides)
-    result = run_sbp(graph, config)
+    with sweep_barrier(strategy):
+        result = run_sbp(graph, config)
     return {
         "assignment": np.asarray(result.assignment, dtype=np.int64),
         "mdl": np.asarray([result.mdl], dtype=np.float64),

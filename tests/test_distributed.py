@@ -1,5 +1,5 @@
-"""Tests for the simulated message-passing world, the vertex partitioners
-and the sharded sweep over the ``sim`` transport."""
+"""Tests for the in-process ``sim`` transport, the vertex partitioners
+and the sharded sweep over it."""
 
 from __future__ import annotations
 
@@ -7,75 +7,40 @@ import numpy as np
 import pytest
 
 from repro import Blockmodel
-from repro.distributed.comm import CommSpec, SimCommWorld
+from repro.distributed.comm import SimTransport
 from repro.distributed.partition import edge_cut, partition_stats, partition_vertices
 from repro.distributed.runtime import DistributedBackend
-from repro.errors import BackendError
+from repro.errors import TransportError
 from repro.mcmc.async_gibbs import async_gibbs_sweep
 from repro.parallel.vectorized import VectorizedBackend
 from repro.utils.rng import SweepRandomness
 
 
 class TestCommWorld:
+    """The in-process comm world: ``SimTransport``'s per-channel FIFO."""
+
     def test_send_recv_roundtrip(self):
-        world = SimCommWorld(3)
-        payload = np.arange(10)
-        world.send(payload, source=0, dest=2)
-        out = world.recv(source=0, dest=2)
-        np.testing.assert_array_equal(out, payload)
-        assert world.ledger.point_to_point_messages == 1
-        assert world.ledger.point_to_point_bytes == payload.nbytes
+        transport = SimTransport(3)
+        transport.push(b"first", source=0, dest=2)
+        transport.push(b"second", source=0, dest=2)
+        transport.push(b"other", source=1, dest=2)
+        assert transport.pull(source=0, dest=2) == b"first"
+        assert transport.pull(source=0, dest=2) == b"second"
+        assert transport.pull(source=1, dest=2) == b"other"
 
     def test_recv_without_send(self):
-        world = SimCommWorld(2)
-        with pytest.raises(BackendError):
-            world.recv(source=0, dest=1)
+        transport = SimTransport(2)
+        assert transport.pull(source=0, dest=1) is None
+        transport.push(b"x", source=0, dest=1)
+        assert transport.pull(source=1, dest=0) is None  # channels are one-way
 
     def test_send_to_self_rejected(self):
-        world = SimCommWorld(2)
-        with pytest.raises(BackendError):
-            world.send(b"x", source=1, dest=1)
-
-    def test_receiver_waits_for_arrival(self):
-        world = SimCommWorld(2, CommSpec(latency_seconds=1.0,
-                                         bandwidth_bytes_per_second=1e9))
-        world.send(b"x", source=0, dest=1)
-        world.recv(source=0, dest=1)
-        assert world.clock(1) >= 1.0
-
-    def test_allgather_synchronizes_clocks(self):
-        world = SimCommWorld(4)
-        world.advance_compute(2, 5.0)
-        world.allgather([np.zeros(1)] * 4)
-        for rank in range(4):
-            assert world.clock(rank) >= 5.0
-        assert world.clock(0) == world.clock(3)
-
-    def test_allreduce_sum(self):
-        world = SimCommWorld(3)
-        assert world.allreduce_sum([1.0, 2.0, 3.5]) == 6.5
-
-    def test_allgather_wrong_arity(self):
-        world = SimCommWorld(2)
-        with pytest.raises(BackendError):
-            world.allgather([1])
-
-    def test_collective_cost_grows_with_ranks(self):
-        spec = CommSpec(latency_seconds=1e-5)
-        small = SimCommWorld(2, spec)
-        large = SimCommWorld(64, spec)
-        small.barrier()
-        large.barrier()
-        assert large.makespan > small.makespan
-
-    def test_single_rank_collectives_free(self):
-        world = SimCommWorld(1)
-        world.barrier()
-        assert world.makespan == 0.0
+        with pytest.raises(TransportError, match="self-channels"):
+            SimTransport(2).push(b"x", source=1, dest=1)
 
     def test_bad_rank_count(self):
-        with pytest.raises(BackendError):
-            SimCommWorld(0)
+        with pytest.raises(TransportError):
+            SimTransport(0)
 
 
 class TestPartitioning:
@@ -149,14 +114,14 @@ class TestDistributedSweep:
 
     def test_incremental_updater_barrier_identical(self, medium_graph):
         """The shared-memory barrier engine drops in behind the shards."""
-        from repro.parallel.backend import UPDATE_STRATEGIES
+        from repro.sbm.incremental import IncrementalUpdater
         from repro.utils.timer import StopwatchPool
 
         graph, legacy = self._state(medium_graph)
         _, bm = self._state(medium_graph)
         vertices = np.arange(graph.num_vertices, dtype=np.int64)
         rand = SweepRandomness.draw(7, 5, 0, graph.num_vertices)
-        updater = UPDATE_STRATEGIES.get("incremental")(timers=StopwatchPool())
+        updater = IncrementalUpdater(timers=StopwatchPool())
         with DistributedBackend(transport="sim", ranks=3) as backend:
             async_gibbs_sweep(legacy, graph, vertices, rand, 3.0, backend)
             async_gibbs_sweep(bm, graph, vertices, rand, 3.0, backend, updater=updater)

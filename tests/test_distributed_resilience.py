@@ -15,7 +15,6 @@ The acceptance gate for ``--backend distributed:<transport>:<ranks>``:
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 
@@ -30,7 +29,6 @@ from repro.distributed.chaos import FAULT_KINDS, ChaosSchedule, ChaosTransport
 from repro.distributed.comm import (
     FRAME_HEADER_BYTES,
     SimTransport,
-    _payload_bytes,
     decode_frame,
     decode_payload,
     encode_frame,
@@ -399,26 +397,6 @@ class TestPartitionEdgeCases:
         ref = _run(tiny_graph, "vectorized", seed=3)
         result = _run(tiny_graph, "distributed:sim:4", seed=3)
         _assert_same_chain(result, ref)
-
-
-# ---------------------------------------------------------------------------
-# Ledger accounting (satellite a)
-# ---------------------------------------------------------------------------
-class TestPayloadBytes:
-    def test_dict_counts_keys_and_values(self):
-        arr = np.arange(4)  # 32 bytes
-        assert _payload_bytes({"ab": arr}) == 2 + 32
-
-    def test_dataclass_counts_fields(self):
-        @dataclasses.dataclass
-        class Msg:
-            pos: np.ndarray
-            tag: str
-
-        assert _payload_bytes(Msg(np.arange(2), "xy")) == 16 + 2
-
-    def test_nested_containers(self):
-        assert _payload_bytes([{"k": 1.0}, (2, "abc")]) == (1 + 8) + (8 + 3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 
 from repro import Blockmodel, SBPConfig
 from repro.core.merge import block_merge_phase
-from repro.parallel.backend import MERGE_BACKENDS
 from repro.parallel.merge import SerialMergeBackend, VectorizedMergeBackend
 from repro.utils.rng import philox_stream
+from tests.golden_utils import injected_oracle
 
 
 @pytest.fixture
@@ -118,14 +118,10 @@ class TestMergeBackendEquivalence:
         ``num_merges > C - 1`` clamp."""
         graph, _ = planted_graph
         bm = Blockmodel.singleton(graph)
-        out_s = block_merge_phase(
-            bm, graph, num_merges,
-            SBPConfig(seed=seed, merge_backend="serial"), iteration=1,
-        )
-        out_v = block_merge_phase(
-            bm, graph, num_merges,
-            SBPConfig(seed=seed, merge_backend="vectorized"), iteration=1,
-        )
+        config = SBPConfig(seed=seed)
+        with injected_oracle("serial"):
+            out_s = block_merge_phase(bm, graph, num_merges, config, iteration=1)
+        out_v = block_merge_phase(bm, graph, num_merges, config, iteration=1)
         assert out_s.num_blocks == out_v.num_blocks
         np.testing.assert_array_equal(out_s.assignment, out_v.assignment)
 
@@ -133,20 +129,9 @@ class TestMergeBackendEquivalence:
         bm = Blockmodel.from_assignment(
             tiny_graph, np.zeros(tiny_graph.num_vertices, dtype=np.int64)
         )
-        for backend in ("serial", "vectorized"):
-            out = block_merge_phase(
-                bm, tiny_graph, 5,
-                SBPConfig(seed=1, merge_backend=backend), iteration=1,
-            )
-            assert out.num_blocks == 1
-
-    def test_registry(self):
-        names = MERGE_BACKENDS.names()
-        assert "serial" in names and "vectorized" in names
-        assert isinstance(MERGE_BACKENDS.get("serial")(), SerialMergeBackend)
-        assert isinstance(MERGE_BACKENDS.get("vectorized")(), VectorizedMergeBackend)
-        with pytest.raises(Exception):
-            MERGE_BACKENDS.get("no-such-backend")()
+        # C=1 leaves nothing to merge: the phase returns before any scan.
+        out = block_merge_phase(bm, tiny_graph, 5, SBPConfig(seed=1), iteration=1)
+        assert out.num_blocks == 1
 
     def test_timer_sections_populated(self, planted_graph):
         from repro.utils.timer import StopwatchPool

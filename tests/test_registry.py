@@ -26,12 +26,6 @@ from repro.errors import BackendError, ReproError, ServiceError, TransportError
 SITES = {
     "variant": ("repro.mcmc.engine", "VARIANTS", ReproError, "h-sbp"),
     "backend": ("repro.parallel.backend", "BACKENDS", BackendError, "vectorized"),
-    "merge backend": (
-        "repro.parallel.backend", "MERGE_BACKENDS", BackendError, "vectorized",
-    ),
-    "update strategy": (
-        "repro.parallel.backend", "UPDATE_STRATEGIES", BackendError, "incremental",
-    ),
     "sampler": ("repro.sampling.samplers", "SAMPLERS", ReproError, "degree-weighted"),
     "block storage": ("repro.sbm.block_storage", "BLOCK_STORAGES", BackendError, "hybrid"),
     "transport": ("repro.distributed.comm", "TRANSPORTS", TransportError, "pipes"),

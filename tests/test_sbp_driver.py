@@ -151,6 +151,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SBPConfig(beta=0.0)
 
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_bad_outer_iterations(self, value):
+        with pytest.raises(ValueError, match="max_outer_iterations"):
+            SBPConfig(max_outer_iterations=value)
+
+    @pytest.mark.parametrize("field", ["mcmc_threshold", "mcmc_threshold_final"])
+    def test_negative_threshold(self, field):
+        with pytest.raises(ValueError, match="mcmc_threshold"):
+            SBPConfig(**{field: -1.0})
+        assert getattr(SBPConfig(**{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, None])
+    def test_non_int_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            SBPConfig(seed=seed)
+
+    def test_numpy_int_seed_accepted(self):
+        assert SBPConfig(seed=np.int64(7)).seed == 7
+
     def test_string_variant_coerced(self):
         assert SBPConfig(variant="h-sbp").variant is Variant.HSBP
 

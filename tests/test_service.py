@@ -647,16 +647,22 @@ class TestHTTPService:
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(base, "/no-such-endpoint")
         assert err.value.code == 404
-        # Non-scalar numeric fields answer with a JSON 400, not a dropped
-        # connection, and the server keeps serving.
-        for body in (
-            {"edges": [[0, 1], [1, 2]], "num_vertices": 3, "runs": [1]},
-            {"edges": [[0, 1], [1, 2]], "num_vertices": [3]},
+        # Non-scalar numeric fields, removed config fields and config
+        # values that would only fail in a worker answer with a JSON 400,
+        # not a dropped connection or a queued job, and the server keeps
+        # serving.
+        for body, field in (
+            ({"edges": [[0, 1], [1, 2]], "num_vertices": 3, "runs": [1]}, "runs"),
+            ({"edges": [[0, 1], [1, 2]], "num_vertices": [3]}, "num_vertices"),
+            ({"edges": [[0, 1]], "config": {"update_strategy": "rebuild"}},
+             "update_strategy"),
+            ({"edges": [[0, 1]], "config": {"max_outer_iterations": 0}},
+             "max_outer_iterations"),
         ):
             with pytest.raises(urllib.error.HTTPError) as err:
                 _post(base, "/submit", body)
-            assert 400 <= err.value.code < 500
-            assert "error" in json.loads(err.value.read())
+            assert err.value.code == 400
+            assert field in json.loads(err.value.read())["error"]
             status, raw = _get(base, "/health")
             assert status == 200 and "queue" in json.loads(raw)
 

@@ -3,10 +3,11 @@
 The ``sparse`` and ``hybrid`` engines are only admissible because they
 replay the exact chains the ``dense`` oracle produces — byte-equal
 assignments and bit-identical MDL floats, per sweep, across the variant
-x update strategy x seed matrix. On top of the chain equivalence this
-module covers the persistence surface: blockmodel archives round-trip
-their storage engine, checkpoints refuse a resume under a different
-engine, and the CLI flag reaches the config.
+x update strategy x seed matrix (``rebuild`` runs with the recount
+oracle injected in place of the production barrier). On top of the
+chain equivalence this module covers the persistence surface:
+blockmodel archives round-trip their storage engine, checkpoints refuse
+a resume under a different engine, and the CLI flag reaches the config.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.errors import CheckpointError
 from repro.io.serialize import load_blockmodel, save_blockmodel
 from repro.resilience.checkpoint import RunCheckpointer, config_digest
 from repro.sbm.blockmodel import Blockmodel
+from tests.golden_utils import sweep_barrier
 
 #: The equivalence matrix the CI gate runs: every combo must match.
 VARIANTS = ("sbp", "a-sbp", "h-sbp")
@@ -40,12 +42,12 @@ def _run(graph, variant, strategy, seed, storage, **overrides):
     config = SBPConfig(
         variant=variant,
         seed=seed,
-        update_strategy=strategy,
         block_storage=storage,
         record_work=True,
         **overrides,
     )
-    return run_sbp(graph, config)
+    with sweep_barrier(strategy):
+        return run_sbp(graph, config)
 
 
 @pytest.mark.slow
@@ -185,9 +187,9 @@ class TestCLI:
     def test_registry_lists_every_section(self, capsys):
         assert main(["registry", "--list"]) == 0
         out = capsys.readouterr().out
-        for section in ("variants", "execution backends", "merge backends",
-                        "update strategies", "block storages"):
+        for section in ("variants", "execution backends", "block storages"):
             assert section in out
-        for name in ("dense", "sparse", "hybrid", "auto", "incremental",
-                     "h-sbp"):
+        for section in ("merge backends", "update strategies"):
+            assert section not in out  # fixed paths, not registries
+        for name in ("dense", "sparse", "hybrid", "auto", "h-sbp"):
             assert name in out

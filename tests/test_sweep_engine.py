@@ -162,7 +162,7 @@ class TestVariantRegistry:
                 ),
             ))
         # No engine or driver edits: the stock phase driver runs it.
-        config = gu.make_config(name, "incremental", "vectorized", seed=3,
+        config = gu.make_config(name, "vectorized", seed=3,
                                 max_sweeps=3)
         bm = Blockmodel.from_assignment(
             graph, gu.start_assignment(graph), gu.START_BLOCKS
@@ -230,7 +230,7 @@ class TestTieredVariant:
         assert plan.barriers_per_sweep == 5
 
     def test_smoke_phase_converges_and_stays_consistent(self, graph):
-        config = gu.make_config("tiered", "incremental", "vectorized", seed=3,
+        config = gu.make_config("tiered", "vectorized", seed=3,
                                 max_sweeps=4, record_work=True)
         bm = Blockmodel.from_assignment(
             graph, gu.start_assignment(graph), gu.START_BLOCKS
@@ -298,7 +298,7 @@ class TestStatsPlumbing:
     def test_phase_strips_work_unless_recorded(self, graph):
         for record_work, expect_vector in ((False, False), (True, True)):
             config = gu.make_config(
-                "h-sbp", "incremental", "vectorized", seed=3,
+                "h-sbp", "vectorized", seed=3,
                 max_sweeps=2, record_work=record_work,
             )
             bm = Blockmodel.from_assignment(

@@ -8,11 +8,12 @@ The load-bearing properties:
   empty a block;
 * the serial :class:`ProposalCache` serves the exact CDFs the uncached
   path builds, across dirty-set invalidations;
-* full runs under ``update_strategy='incremental'`` reproduce the
-  ``'rebuild'`` oracle bit-identically: MDL trajectories, per-sweep
-  acceptance counts, and final assignments, for every variant;
-* checkpoint resume of an incremental run stays bit-identical, and a
-  digest mismatch on ``update_strategy`` is rejected cleanly;
+* full runs on the production incremental barrier reproduce runs with
+  the ``rebuild`` oracle injected in its place bit-identically: MDL
+  trajectories, per-sweep acceptance counts, and final assignments, for
+  every variant;
+* checkpoint resume of an incremental run stays bit-identical, also when
+  the resumed run has the rebuild oracle injected;
 * boundary uniforms (exactly 1.0) can no longer index out of range.
 """
 
@@ -22,16 +23,11 @@ import numpy as np
 import pytest
 
 from repro import Blockmodel, Graph, SBPConfig, run_sbp
-from repro.errors import BackendError, CheckpointError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.mcmc.async_gibbs import async_gibbs_sweep
 from repro.mcmc.metropolis import metropolis_sweep
-from repro.parallel.backend import (
-    available_update_strategies,
-    get_update_strategy,
-)
 from repro.parallel.vectorized import VectorizedBackend
 from repro.resilience import RunCheckpointer
-from repro.resilience.checkpoint import config_digest
 from repro.sbm.incremental import (
     IncrementalUpdater,
     ProposalCache,
@@ -40,6 +36,7 @@ from repro.sbm.incremental import (
 )
 from repro.sbm.moves import _uniform_other, propose_vertex_move
 from repro.utils.rng import SweepRandomness
+from tests.golden_utils import injected_oracle
 
 _FAST = dict(max_sweeps=8)
 
@@ -263,8 +260,9 @@ class TestRunEquivalence:
         base = SBPConfig(
             variant=variant, seed=seed, record_work=True, **_FAST
         )
-        oracle = run_sbp(graph, base.replace(update_strategy="rebuild"))
-        fast = run_sbp(graph, base.replace(update_strategy="incremental"))
+        with injected_oracle("rebuild"):
+            oracle = run_sbp(graph, base)
+        fast = run_sbp(graph, base)
 
         assert fast.mdl == oracle.mdl
         assert fast.num_blocks == oracle.num_blocks
@@ -284,8 +282,9 @@ class TestRunEquivalence:
     def test_barrier_timing_lands_in_the_right_bucket(self, planted_graph):
         graph, _ = planted_graph
         base = SBPConfig(variant="a-sbp", seed=1, **_FAST)
-        inc = run_sbp(graph, base.replace(update_strategy="incremental"))
-        reb = run_sbp(graph, base.replace(update_strategy="rebuild"))
+        inc = run_sbp(graph, base)
+        with injected_oracle("rebuild"):
+            reb = run_sbp(graph, base)
         assert inc.timings.barrier_apply > 0.0
         assert inc.timings.barrier_rebuild == 0.0
         assert reb.timings.barrier_rebuild > 0.0
@@ -348,23 +347,14 @@ class TestVerifyEvery:
 
 
 # ----------------------------------------------------------------------
-# Registry + config plumbing
+# Config plumbing
 # ----------------------------------------------------------------------
 class TestDispatch:
-    def test_registry_lists_both_engines(self):
-        assert {"rebuild", "incremental"} <= set(available_update_strategies())
-
-    def test_factories_produce_the_named_engine(self):
-        assert isinstance(get_update_strategy("rebuild"), RebuildUpdater)
-        assert isinstance(get_update_strategy("incremental"), IncrementalUpdater)
-
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(BackendError, match="unknown update strategy"):
-            get_update_strategy("magic")
-
     def test_config_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError, match="update_strategy"):
-            SBPConfig(update_strategy="magic")
+        # The barrier is fixed; a config naming any strategy is refused
+        # loudly instead of silently running the production engine.
+        with pytest.raises(TypeError, match="update_strategy"):
+            SBPConfig(update_strategy="rebuild")
 
     def test_rebuild_updater_provides_no_cache(self, tiny_graph):
         bm = Blockmodel.singleton(tiny_graph)
@@ -375,7 +365,7 @@ class TestDispatch:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint resume across the new knob
+# Checkpoint resume across barrier engines
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestCheckpointAcrossStrategies:
@@ -392,21 +382,18 @@ class TestCheckpointAcrossStrategies:
         assert resumed.mdl == reference.mdl
         assert np.array_equal(resumed.assignment, reference.assignment)
 
-    def test_digest_covers_update_strategy(self):
-        a = SBPConfig(seed=1, update_strategy="incremental")
-        b = SBPConfig(seed=1, update_strategy="rebuild")
-        assert config_digest(a) != config_digest(b)
-
-    def test_strategy_mismatch_rejected_on_resume(self, planted_graph, tmp_path):
+    def test_resume_under_rebuild_oracle(self, planted_graph, tmp_path):
         graph, _ = planted_graph
         config = SBPConfig(variant="a-sbp", seed=5, **_FAST)
+        reference = run_sbp(graph, config)
+
         ck = RunCheckpointer(tmp_path / "ckpt")
         run_sbp(graph, config.replace(max_outer_iterations=1), checkpointer=ck)
-        with pytest.raises(CheckpointError, match="incompatible"):
-            run_sbp(
-                graph, config.replace(update_strategy="rebuild"),
-                checkpointer=ck,
-            )
+        with injected_oracle("rebuild"):
+            resumed = run_sbp(graph, config, checkpointer=ck)
+
+        assert resumed.mdl == reference.mdl
+        assert np.array_equal(resumed.assignment, reference.assignment)
 
 
 # ----------------------------------------------------------------------
