@@ -26,20 +26,25 @@ built-in engines:
     code (and tests) that read or poke ``bm.B`` keep working unchanged.
 ``sparse``
     Numpy-native per-row sorted ``(cols, vals)`` arrays with a mirrored
-    per-column index, so gathers stay vectorized. A lazy flattened
-    CSR view (sorted ``r * C + c`` keys) serves frozen-state batch
-    gathers and the merge kernels; it is invalidated by any mutation and
-    never consulted on the serial per-move path, which uses only the
-    per-row/per-column arrays.
+    per-column index, so gathers stay vectorized. Every mutation is a
+    batch of cell deltas merged with one stable sort per axis over the
+    touched lines (not one ``np.insert`` merge per line). A lazy
+    flattened CSR view (sorted ``r * C + c`` keys) serves frozen-state
+    batch gathers and the merge kernels; it is invalidated by any
+    mutation and never consulted on the serial per-move path, which
+    uses only the per-row/per-column arrays.
 ``hybrid``
     A sweep-burst engine layered over a sparse backing store: an LRU of
     materialized dense rows/columns for high-traffic blocks plus a
     write-behind cell-delta journal. CDF/row reads hit the dense cache
     lines (dense-identity :class:`RowCDF`, so draws are byte-equal to
     the oracle), ``apply_move``/``scatter_edges`` append journal chunks
-    and write through cached lines in O(deg), and whole-matrix reads,
-    ``merge_into`` and ``compact`` flush the journal and reuse the
-    sparse paths. Per-line version counters let
+    and write through cached lines in O(deg). When every row is cached
+    (``C <= cache_lines``) ``gather``, ``likelihood_matrix`` and ``nnz``
+    read the row buffer, which already holds the journal, after auditing
+    it for negative counts; otherwise whole-matrix reads flush the
+    journal and reuse the sparse paths, as ``merge_into`` and
+    ``compact`` always do. Per-line version counters let
     :class:`repro.sbm.incremental.ProposalCache` revalidate lazily
     instead of evicting the whole move dirty set.
 
@@ -65,9 +70,10 @@ the golden-trajectory gate):
 3. **Dense MDL materialization**: ``np.sum`` uses *pairwise* summation
    over the flattened dense matrix, whose rounding depends on the zero
    cells' positions. :meth:`BlockState.likelihood_matrix` therefore
-   hands the entropy kernel a dense int64 matrix from either engine —
-   the sparse engine materializes one per evaluation — keeping MDL
-   traces byte-equal to the dense oracle.
+   hands the entropy kernel a dense int64 matrix from every engine —
+   the sparse engine materializes one per evaluation, the resident
+   hybrid engine copies its ``C×C`` row buffer — keeping MDL traces
+   byte-equal to the dense oracle.
 """
 
 from __future__ import annotations
@@ -431,7 +437,10 @@ class SparseBlockState(BlockState):
 
     Row ``r``'s non-zeros live in ``_row_cols[r]`` (sorted, unique) and
     ``_row_vals[r]`` (strictly positive); ``_col_rows``/``_col_vals``
-    mirror by column for O(nnz(col)) column gathers. A lazily built flat
+    mirror by column for O(nnz(col)) column gathers. Mutations aggregate
+    their cell deltas, then :meth:`_merge_lines` folds them into each
+    axis with one stable sort over the touched lines' cells, auditing
+    for negative counts before anything is written. A lazily built flat
     CSR view (keys ``r * C + c`` in ascending order) serves whole-matrix
     reads (:meth:`gather`, :meth:`nonzero`, sums); any mutation drops it.
     The serial per-move path touches only the per-row/per-column arrays,
@@ -552,16 +561,26 @@ class SparseBlockState(BlockState):
         return self.to_dense()
 
     # -- mutations ------------------------------------------------------
+    @staticmethod
+    def _sum_runs(keys: IntArray, vals: IntArray) -> tuple[IntArray, IntArray]:
+        """Sum ``vals`` over each run of equal keys in sorted ``keys``."""
+        first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        return keys[first], np.add.reduceat(vals, first)
+
     def _apply_cell_deltas(self, keys: IntArray, deltas: IntArray) -> None:
         """Aggregate ``(key, delta)`` pairs and merge them into both axes.
 
         ``keys`` are flat ``r * C + c`` indices (duplicates allowed);
-        zero aggregate deltas drop out, so the per-row update loops run
-        over genuinely changed rows/columns only.
+        zero aggregate deltas drop out, so only genuinely changed
+        rows/columns are rewritten. Each axis is merged by one batched
+        :meth:`_merge_lines` call; the row axis audits every changed cell
+        before either axis is written, so a negative count leaves the
+        state untouched.
         """
-        ukeys, inv = np.unique(keys, return_inverse=True)
-        agg = np.zeros(ukeys.shape[0], dtype=np.int64)
-        np.add.at(agg, inv, deltas)
+        order = np.argsort(keys)
+        ukeys, agg = self._sum_runs(
+            keys[order], np.asarray(deltas, dtype=np.int64)[order]
+        )
         live = agg != 0
         if not live.any():
             return
@@ -572,68 +591,62 @@ class SparseBlockState(BlockState):
         cols = ukeys % C
         self._flat = None
         # Row axis: ukeys is (row, col)-sorted, so contiguous row groups.
-        bounds = np.nonzero(np.diff(rows))[0] + 1
-        starts = np.concatenate([[0], bounds, [rows.shape[0]]])
-        for gi in range(starts.shape[0] - 1):
-            lo, hi = int(starts[gi]), int(starts[gi + 1])
-            self._merge_axis(
-                self._row_cols, self._row_vals, int(rows[lo]),
-                cols[lo:hi], agg[lo:hi],
-            )
+        self._merge_lines(self._row_cols, self._row_vals, rows, cols, agg)
         # Column axis mirror: re-sort by (col, row).
         order = np.argsort(cols * C + rows, kind="stable")
-        rows_t = rows[order]
-        cols_t = cols[order]
-        agg_t = agg[order]
-        bounds = np.nonzero(np.diff(cols_t))[0] + 1
-        starts = np.concatenate([[0], bounds, [cols_t.shape[0]]])
-        for gi in range(starts.shape[0] - 1):
-            lo, hi = int(starts[gi]), int(starts[gi + 1])
-            self._merge_axis(
-                self._col_rows, self._col_vals, int(cols_t[lo]),
-                rows_t[lo:hi], agg_t[lo:hi],
-            )
+        self._merge_lines(
+            self._col_rows, self._col_vals, cols[order], rows[order], agg[order]
+        )
 
-    def _merge_axis(
+    def _merge_lines(
         self,
         keys_store: list[IntArray],
         vals_store: list[IntArray],
-        index: int,
+        lines: IntArray,
         keys: IntArray,
         deltas: IntArray,
     ) -> None:
-        """Merge sorted unique ``(keys, deltas)`` into one axis line."""
-        cols = keys_store[index]
-        vals = vals_store[index]
-        if cols.shape[0] == 0:
-            if (deltas < 0).any():
-                raise BlockmodelError(
-                    f"negative count in {self.name} storage line {index}"
-                )
-            keys_store[index] = keys.copy()
-            vals_store[index] = deltas.copy()
-            return
-        pos = np.searchsorted(cols, keys)
-        hit = (pos < cols.shape[0]) & (cols[np.minimum(pos, cols.shape[0] - 1)] == keys)
-        new_vals = vals.copy()
-        new_vals[pos[hit]] += deltas[hit]
-        miss = ~hit
-        if miss.any():
-            new_cols = np.insert(cols, pos[miss], keys[miss])
-            new_vals = np.insert(new_vals, pos[miss], deltas[miss])
-        else:
-            new_cols = cols
-        if (new_vals < 0).any():
+        """Merge ``(line, key)``-sorted unique deltas into one axis's lines.
+
+        Every touched line's stored ``(line * C + key, val)`` cells are
+        concatenated with the deltas and summed in one stable sort, so a
+        batch costs one sort per axis rather than one merge per line. The
+        first negative cell raises, naming the lowest such line, before
+        any line is written; zero cells are dropped and each touched line
+        is stored as an owned array (a view would pin the batch buffer).
+        """
+        C = self.num_blocks
+        touched = lines[np.concatenate([[True], lines[1:] != lines[:-1]])]
+        ids = touched.tolist()
+        old_keys = [keys_store[ln] for ln in ids]
+        old_lines = np.repeat(touched, [a.shape[0] for a in old_keys])
+        cells = np.concatenate([old_lines * C + np.concatenate(old_keys),
+                                lines * C + keys])
+        # Two sorted runs (stored cells, deltas): the stable sort merges them.
+        order = np.argsort(cells, kind="stable")
+        cells, sums = self._sum_runs(
+            cells[order],
+            np.concatenate([vals_store[ln] for ln in ids] + [deltas])[order],
+        )
+        negative = np.flatnonzero(sums < 0)
+        if negative.shape[0]:
             raise BlockmodelError(
-                f"negative count in {self.name} storage line {index}"
+                f"negative count in {self.name} storage line "
+                f"{int(cells[negative[0]]) // C}"
             )
-        drop = new_vals == 0
-        if drop.any():
-            keep = ~drop
-            new_cols = new_cols[keep]
-            new_vals = new_vals[keep]
-        keys_store[index] = new_cols
-        vals_store[index] = new_vals
+        live = sums != 0
+        cells = cells[live]
+        sums = sums[live]
+        cell_lines = cells // C
+        cell_keys = cells - cell_lines * C
+        lo = np.searchsorted(cell_lines, touched, side="left").tolist()
+        hi = np.searchsorted(cell_lines, touched, side="right").tolist()
+        for ln, a, b in zip(ids, lo, hi):
+            if a == b:
+                keys_store[ln] = vals_store[ln] = _EMPTY
+            else:
+                keys_store[ln] = cell_keys[a:b].copy()
+                vals_store[ln] = sums[a:b].copy()
 
     def apply_move(self, r, s, t_out, c_out, t_in, c_in, loops) -> None:
         C = self.num_blocks
@@ -707,14 +720,13 @@ class SparseBlockState(BlockState):
         keys = np.asarray(rows, dtype=np.int64) * num_blocks + np.asarray(
             cols, dtype=np.int64
         )
-        ukeys, inv = np.unique(keys, return_inverse=True)
-        agg = np.zeros(ukeys.shape[0], dtype=np.int64)
-        np.add.at(agg, inv, vals)
+        order = np.argsort(keys)
+        ukeys, agg = cls._sum_runs(keys[order], np.asarray(vals, dtype=np.int64)[order])
+        if (agg < 0).any():
+            raise BlockmodelError("negative aggregate count in triplets")
         live = agg > 0
         ukeys = ukeys[live]
         agg = agg[live]
-        if (np.asarray(vals) < 0).any() and (agg < 0).any():
-            raise BlockmodelError("negative aggregate count in triplets")
         urows = ukeys // num_blocks
         ucols = ukeys % num_blocks
         state._fill_axis(state._row_cols, state._row_vals, urows, ucols, agg)
@@ -819,9 +831,10 @@ _MAX_JOURNAL_BATCHES = 4
 class HybridBlockState(BlockState):
     """Sweep-burst engine: dense LRU line cache over a sparse backing.
 
-    The sparse engine owns the authoritative compressed matrix, but its
-    per-move ``np.insert`` merges are the sweep-burst bottleneck. This
-    engine sits in front of it with three structures:
+    The sparse engine owns the authoritative compressed matrix, but
+    even its batched merge re-sorts every touched line, which a burst
+    of per-move writes would pay once per move. This engine sits in
+    front of it with three structures:
 
     * **LRU line caches** — up to :attr:`cache_lines` materialized dense
       rows and as many columns, stored as rows of one 2-D buffer per
@@ -837,7 +850,9 @@ class HybridBlockState(BlockState):
       fancy index — no per-line Python loop on the write path).
       Whole-matrix reads, merges, compaction, copies and serialization
       flush the journal through the sparse engine's aggregation path
-      (which also performs the deferred negative-count audit).
+      (which also performs the deferred negative-count audit) — except
+      ``gather``, ``likelihood_matrix`` and ``nnz`` with every row
+      resident, which audit and read the row buffer instead.
     * **per-block version counters** — bumped for every line a write
       touches, letting :class:`repro.sbm.incremental.ProposalCache`
       revalidate CDFs row-granularly instead of evicting the whole
@@ -849,7 +864,7 @@ class HybridBlockState(BlockState):
     single sorted batch whenever it exceeds
     :data:`_MAX_JOURNAL_BATCHES` (amortized vectorized argsort, keeping
     per-miss replay O(log) regardless of how many small per-move writes
-    accumulated). Reads therefore never require a flush. With the
+    accumulated). Line reads therefore never require a flush. With the
     default budget (``max(256, C // 16)`` lines per axis) the buffers
     top out at ``2 · cache_lines · C · 8`` bytes — 12.5% of the dense
     matrix at C ≥ 4096.
@@ -907,18 +922,21 @@ class HybridBlockState(BlockState):
 
         The backing's aggregation path also audits non-negativity, so a
         caller delta-accounting bug surfaces here (at the latest at the
-        next whole-matrix read) rather than per-move. Cached lines stay
-        valid: they already include the journal deltas.
+        next whole-matrix read, which audits the row buffer instead when
+        it is resident) rather than per-move. A failed audit leaves the
+        backing untouched and the journal pending, so every later flush
+        raises again instead of reading the backing without those deltas.
+        Cached lines stay valid: they already include the journal deltas.
         """
         if self._pending == 0:
             return
         C = self.num_blocks
         keys = np.concatenate([ln * C + k for ln, k, _ in self._jrow])
         deltas = np.concatenate([d for _, _, d in self._jrow])
+        self._backing._apply_cell_deltas(keys, deltas)
         self._jrow.clear()
         self._jcol.clear()
         self._pending = 0
-        self._backing._apply_cell_deltas(keys, deltas)
 
     @staticmethod
     def _consolidate(
@@ -980,8 +998,7 @@ class HybridBlockState(BlockState):
     ) -> None:
         """Apply a line's pending deltas; batches are line-sorted."""
         for lines, keys, deltas in journal:
-            lo = int(np.searchsorted(lines, line, side="left"))
-            hi = int(np.searchsorted(lines, line, side="right"))
+            lo, hi = lines.searchsorted((line, line + 1)).tolist()
             if hi > lo:
                 _K.index_add(target, keys[lo:hi], deltas[lo:hi])
 
@@ -1011,9 +1028,7 @@ class HybridBlockState(BlockState):
             self._col_buf = buf
             self._col_resident = True
 
-    def _materialize_axis(
-        self, axis: int, line: int, fetch
-    ) -> IntArray:
+    def _materialize_axis(self, axis: int, line: int) -> IntArray:
         """Return the cached dense line, materializing (and possibly
         evicting) on a miss. ``axis`` 0 = rows, 1 = cols."""
         lru = self._row_lru if axis == 0 else self._col_lru
@@ -1037,8 +1052,14 @@ class HybridBlockState(BlockState):
             slots[evicted] = -1
         else:
             slot = len(lru)
+        backing = self._backing
+        if axis == 0:
+            keys, vals = backing._row_cols[line], backing._row_vals[line]
+        else:
+            keys, vals = backing._col_rows[line], backing._col_vals[line]
         out = buf[slot]
-        out[:] = fetch(line)
+        out.fill(0)
+        out[keys] = vals
         journal = self._jrow if axis == 0 else self._jcol
         if len(journal) > _MAX_JOURNAL_BATCHES:
             self._consolidate(journal)
@@ -1048,10 +1069,10 @@ class HybridBlockState(BlockState):
         return out
 
     def _materialize_row(self, r: int) -> IntArray:
-        return self._materialize_axis(0, r, self._backing.dense_row)
+        return self._materialize_axis(0, r)
 
     def _materialize_col(self, c: int) -> IntArray:
-        return self._materialize_axis(1, c, self._backing.dense_col)
+        return self._materialize_axis(1, c)
 
     def _invalidate_lines(self) -> None:
         """Drop every cached line and advance every version counter."""
@@ -1081,7 +1102,28 @@ class HybridBlockState(BlockState):
         col = self._col_buf[c] if self._col_resident else self._materialize_col(c)
         return col[np.asarray(rows, dtype=np.int64)]
 
+    def _resident_matrix(self) -> np.ndarray | None:
+        """The exact ``C×C`` matrix when the row axis is resident, else None.
+
+        Prefill built the buffer from the backing plus the journal and
+        every later write went through it, so it already holds what a
+        flush would produce. While the journal is non-empty the flush's
+        non-negativity audit has not run on those cells yet, so it runs
+        here: a delta-accounting bug must not reach a reader as a
+        silently stored negative count.
+        """
+        if not self._row_resident:
+            return None
+        buf = self._row_buf
+        if self._pending and int(buf.min()) < 0:
+            line = int(np.argmax((buf < 0).any(axis=1)))
+            raise BlockmodelError(f"negative count in hybrid storage line {line}")
+        return buf
+
     def gather(self, rows: IntArray, cols: IntArray) -> IntArray:
+        buf = self._resident_matrix()
+        if buf is not None:
+            return buf[np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)]
         self._flush()
         return self._backing.gather(rows, cols)
 
@@ -1125,6 +1167,9 @@ class HybridBlockState(BlockState):
         return self._backing.to_dense()
 
     def likelihood_matrix(self) -> np.ndarray:
+        buf = self._resident_matrix()
+        if buf is not None:
+            return buf.copy()
         self._flush()
         return self._backing.likelihood_matrix()
 
@@ -1204,6 +1249,11 @@ class HybridBlockState(BlockState):
 
     @property
     def nnz(self) -> int:
+        # Read per sweep for the sweep stats: a resident buffer answers
+        # without flushing, like gather and likelihood_matrix.
+        buf = self._resident_matrix()
+        if buf is not None:
+            return int(np.count_nonzero(buf))
         self._flush()
         return self._backing.nnz
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from repro import Blockmodel, SBPConfig
@@ -229,6 +231,39 @@ class TestSparseSpecifics:
         assert state.get(0, 1) == 0
         assert before == np.count_nonzero(state.to_dense())
 
+    def test_net_negative_triplet_rejected(self):
+        with pytest.raises(BlockmodelError, match="negative aggregate count"):
+            SparseBlockState._from_triplets(
+                np.array([0, 0]), np.array([1, 1]), np.array([-3, 1]), 2
+            )
+
+    def test_triplets_aggregate_before_audit(self):
+        """A negative triplet is fine when its cell's total is not."""
+        state = SparseBlockState._from_triplets(
+            np.array([0, 0, 1, 1]), np.array([1, 1, 0, 0]),
+            np.array([-1, 3, 2, -2]), 2,
+        )
+        assert_array_equal(state.to_dense(), [[0, 2], [0, 0]])
+        assert state.nnz == 1
+
+    def test_builders_store_sorted_positive_lines(self):
+        """from_edges, from_dense and compact build the reference state."""
+        ref = _ref_matrix()
+        rows, cols = np.nonzero(ref)
+        counts = ref[rows, cols]
+        keep = np.array([0, 1, 2, 4], dtype=np.int64)
+        mapping = np.array([0, 1, 2, -1, 3], dtype=np.int64)
+        built = [
+            (SparseBlockState.from_dense(ref), ref),
+            (SparseBlockState.from_edges(
+                np.repeat(rows, counts), np.repeat(cols, counts), 5), ref),
+            (SparseBlockState.from_dense(ref).compact(keep, mapping),
+             ref[np.ix_(keep, keep)]),
+        ]
+        for state, expect in built:
+            assert_array_equal(state.to_dense(), expect)
+            _assert_lines_canonical(state, expect)
+
     def test_sparse_beats_dense_memory_when_sparse(self):
         C = 2048
         rng = np.random.default_rng(3)
@@ -255,6 +290,152 @@ class TestRegistry:
     def test_config_validates_storage_name(self):
         with pytest.raises(ValueError, match="block_storage"):
             SBPConfig(block_storage="no-such-engine")
+
+
+# ----------------------------------------------------------------------
+# Batched line merge against the dense oracle
+# ----------------------------------------------------------------------
+def _assert_lines_canonical(state: SparseBlockState, expect: np.ndarray) -> None:
+    """Every stored line is sorted, unique, strictly positive and exact."""
+    for u in range(state.num_blocks):
+        for keys, vals, line in (
+            (state._row_cols[u], state._row_vals[u], expect[u]),
+            (state._col_rows[u], state._col_vals[u], expect[:, u]),
+        ):
+            assert_array_equal(keys, np.flatnonzero(line))
+            assert_array_equal(vals, line[keys])
+
+
+def _edge_units(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge counted in ``M`` as one ``(row, col)`` pair."""
+    rows, cols = np.nonzero(M)
+    counts = M[rows, cols]
+    return np.repeat(rows, counts), np.repeat(cols, counts)
+
+
+def _subset(rng, items: np.ndarray) -> np.ndarray:
+    """A sorted random subset of ``items`` (unique, possibly empty)."""
+    return np.sort(rng.choice(items, rng.integers(0, items.shape[0] + 1), replace=False))
+
+
+def _random_batch(kind: str, M: np.ndarray, rng) -> tuple[str, tuple]:
+    """One mutation ``(method, args)`` drawn against the current matrix."""
+    C = M.shape[0]
+    r, s = (int(x) for x in rng.choice(C, 2, replace=False))
+    src, dst = _edge_units(M)
+    if kind == "scatter":
+        pick = rng.choice(src.shape[0], rng.integers(0, src.shape[0] + 1), replace=False)
+        n = int(rng.integers(0, 2 * C + 1))
+        new_src = rng.integers(0, C, n)
+        new_dst = rng.integers(0, C, n)
+        loops = rng.random(n) < 0.2
+        new_dst[loops] = new_src[loops]  # self-loop cells
+        return "scatter_edges", (src[pick], dst[pick], new_src, new_dst)
+    if kind == "empty":
+        # move every edge of row and column r to block s: line r empties
+        hit = (src == r) | (dst == r)
+        old_src, old_dst = src[hit], dst[hit]
+        return "scatter_edges", (
+            old_src, old_dst,
+            np.where(old_src == r, s, old_src), np.where(old_dst == r, s, old_dst),
+        )
+    if kind == "move":
+        # counts bounded by the cells they leave; the (r, r) cell can
+        # still go negative, which the caller checks against the oracle
+        t_out = _subset(rng, np.flatnonzero(M[r]))
+        t_in = _subset(rng, np.flatnonzero(M[:, r]))
+        c_out = rng.integers(1, M[r, t_out] + 1) if t_out.size else t_out
+        c_in = rng.integers(1, M[t_in, r] + 1) if t_in.size else t_in
+        loops = int(rng.integers(0, M[r, r] + 1))
+        return "apply_move", (r, s, t_out, c_out, t_in, c_in, loops)
+    if kind == "merge":
+        return "merge_into", (r, s)
+    # phantom: remove one edge more than cell (r, s) holds
+    phantom = int(M[r, s]) + 1
+    return "scatter_edges", (
+        np.concatenate([src[:3], np.full(phantom, r)]),
+        np.concatenate([dst[:3], np.full(phantom, s)]),
+        rng.integers(0, C, 2), rng.integers(0, C, 2),
+    )
+
+
+def _assert_reads_match(state: BlockState, M: np.ndarray) -> None:
+    """Every whole-matrix read equals the oracle; line reads go first.
+
+    Hybrid line reads run while the journal is pending (replay, and
+    eviction at C above the cache), and ``gather``, ``likelihood_matrix``
+    and ``nnz`` run before any read that flushes, so the resident path
+    is the one checked at small C.
+    """
+    C = M.shape[0]
+    if isinstance(state, HybridBlockState):
+        for u in range(C):
+            assert_array_equal(state.dense_row(u), M[u])
+            assert_array_equal(state.dense_col(u), M[:, u])
+    rows = np.repeat(np.arange(C), C)
+    cols = np.tile(np.arange(C), C)
+    assert_array_equal(state.gather(rows, cols), M[rows, cols])
+    assert_array_equal(state.likelihood_matrix(), M)
+    assert state.nnz == np.count_nonzero(M)
+    assert_array_equal(state.row_sums(), M.sum(axis=1))
+    assert_array_equal(state.col_sums(), M.sum(axis=0))
+    for got, expect in zip(state.nonzero(), DenseBlockState(M).nonzero()):
+        assert_array_equal(got, expect)
+    assert_array_equal(state.to_dense(), M)
+
+
+class TestBatchedMergeProperty:
+    """Random batches at C below, at and above the hybrid cache floor.
+
+    C=300 exceeds the 256-line default cache, so the hybrid engine runs
+    non-resident with LRU eviction; at C=5 and C=40 every line is
+    resident and ``gather``/``likelihood_matrix`` read the line buffer.
+    Every example ends with a batch that drives a cell negative.
+    """
+
+    @pytest.mark.parametrize("C", [5, 40, 300])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(steps=st.lists(
+        st.tuples(st.sampled_from(["scatter", "empty", "move", "merge"]),
+                  st.integers(0, 2**32 - 1)),
+        max_size=5,
+    ), final_seed=st.integers(0, 2**32 - 1))
+    def test_batches_match_dense_oracle(self, C, steps, final_seed):
+        rng = np.random.default_rng(C)
+        start = DenseBlockState.from_edges(
+            rng.integers(0, C, 4 * C), rng.integers(0, C, 4 * C), C
+        ).B
+        dense = DenseBlockState(start.copy())
+        sparse = SparseBlockState.from_dense(start)
+        hybrid = HybridBlockState.from_dense(start)
+        for kind, seed in steps + [("phantom", final_seed)]:
+            rng = np.random.default_rng(seed)
+            op, args = _random_batch(kind, dense.B, rng)
+            hybrid.sym_row_cdf(int(rng.integers(0, C)))  # prefill or evict
+            expect = dense.B.copy()
+            getattr(DenseBlockState(expect), op)(*args)
+            if expect.min() < 0:
+                line = int(np.flatnonzero((expect < 0).any(axis=1))[0])
+                with pytest.raises(
+                    BlockmodelError, match=f"negative count in sparse storage line {line}$"
+                ):
+                    getattr(sparse, op)(*args)
+                # a rejected batch leaves the sparse state untouched
+                _assert_lines_canonical(sparse, dense.B)
+                with pytest.raises(BlockmodelError, match="negative count"):
+                    getattr(hybrid, op)(*args)
+                    hybrid.gather(np.arange(C), np.arange(C))
+                    hybrid.likelihood_matrix()
+                    hybrid.to_dense()
+                return
+            for state in (dense, sparse, hybrid):
+                getattr(state, op)(*args)
+            assert_array_equal(dense.B, expect)
+            for state in (sparse, hybrid):
+                _assert_reads_match(state, expect)
+            _assert_lines_canonical(sparse, expect)
+            _assert_lines_canonical(hybrid._backing, expect)
+        pytest.fail("the final phantom batch did not go negative")
 
 
 # ----------------------------------------------------------------------

@@ -192,6 +192,78 @@ class TestJournal:
         with pytest.raises(BlockmodelError, match="negative count"):
             state.to_dense()
 
+    def test_failed_flush_keeps_raising(self):
+        """The rejected deltas stay pending: no later read masks them."""
+        C = 6
+        state = HybridBlockState(
+            SparseBlockState.from_dense(np.ones((C, C), dtype=np.int64)), 2
+        )
+        src = np.asarray([1, 1], dtype=np.int64)
+        dst = np.asarray([2, 2], dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        state.scatter_edges(src, dst, empty, empty)  # one edge more than (1, 2) holds
+        for read in (state.to_dense, state.likelihood_matrix, state.row_sums):
+            with pytest.raises(BlockmodelError, match="negative count"):
+                read()
+        assert_array_equal(state._backing.to_dense(), np.ones((C, C), dtype=np.int64))
+
+    @staticmethod
+    def _resident_blockmodel(graph):
+        """A hybrid blockmodel whose cache holds every line, prefilled."""
+        C = 6
+        assignment = np.random.default_rng(8).integers(0, C, graph.num_vertices)
+        bm = Blockmodel.from_assignment(graph, assignment, C, storage="hybrid")
+        assert bm.state.cache_lines == C
+        bm.state.row_gather(0, np.arange(C))  # one line read prefills the axis
+        assert bm.state._row_resident
+        return bm
+
+    def test_negative_count_surfaces_on_resident_reads(self, planted_graph):
+        """Resident reads skip the flush but never the audit."""
+        graph, _ = planted_graph
+        bm = self._resident_blockmodel(graph)
+        state = bm.state
+        src = np.asarray([1], dtype=np.int64)
+        dst = np.asarray([2], dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        # remove one edge more than cell (1, 2) holds: a phantom edge
+        phantom = state.get(1, 2) + 1
+        state.scatter_edges(np.repeat(src, phantom), np.repeat(dst, phantom), empty, empty)
+        with pytest.raises(BlockmodelError, match="negative count"):
+            state.gather(src, dst)
+        with pytest.raises(BlockmodelError, match="negative count"):
+            state.likelihood_matrix()
+        with pytest.raises(BlockmodelError, match="negative count"):
+            bm.mdl(graph)
+        with pytest.raises(BlockmodelError, match="negative count"):
+            _ = state.nnz
+
+    def test_resident_reads_do_not_flush(self, planted_graph):
+        graph, _ = planted_graph
+        bm = self._resident_blockmodel(graph)
+        state = bm.state
+        dense = DenseBlockState.from_dense(state.to_dense())
+        src = np.asarray([0, 4], dtype=np.int64)
+        old_dst = np.asarray([1, 4], dtype=np.int64)
+        new_dst = np.asarray([5, 2], dtype=np.int64)
+        assert state.get(0, 1) and state.get(4, 4)
+        state.scatter_edges(src, old_dst, src, new_dst)
+        dense.scatter_edges(src, old_dst, src, new_dst)
+        pending = state._pending
+        assert pending > 0
+        rows = np.repeat(np.arange(6), 6)
+        cols = np.tile(np.arange(6), 6)
+        assert_array_equal(state.gather(rows, cols), dense.gather(rows, cols))
+        lik = state.likelihood_matrix()
+        assert_array_equal(lik, dense.B)
+        lik[0, 0] += 1  # a copy: the caller cannot write into the buffer
+        assert state.get(0, 0) == dense.get(0, 0)
+        assert state.nnz == dense.nnz
+        assert state._pending == pending
+        assert bm.mdl(graph) == Blockmodel(
+            dense, bm.d_out, bm.d_in, bm.assignment, bm.num_blocks
+        ).mdl(graph)
+
 
 class TestMemoryAccounting:
     def test_sparse_counts_flat_cache(self):
