@@ -111,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--block-storage", default="auto",
                         choices=[*BLOCK_STORAGES.names(), AUTO_STORAGE],
                         help="inter-block matrix engine: dense C x C arrays, "
-                             "per-row sparse arrays, or the hybrid cached "
-                             "engine (bit-identical results; memory/time "
+                             "per-row sparse arrays, or 'hybrid' (sparse "
+                             "until dense fits the memory budget, dense "
+                             "after; bit-identical results, memory/time "
                              "trade-off); 'auto' (the default) picks "
                              "dense/hybrid from the graph size and memory "
                              "budget")

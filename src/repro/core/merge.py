@@ -90,6 +90,6 @@ def block_merge_phase(
         # Relabel densely; from_assignment rebuilds B in one vectorized pass.
         _, dense = np.unique(merged_assignment, return_inverse=True)
         out = Blockmodel.from_assignment(
-            graph, dense.astype(np.int64), storage=type(bm.state)
+            graph, dense.astype(np.int64), storage=bm.storage_name
         )
     return out

@@ -83,8 +83,9 @@ class SBPConfig:
         Inter-block matrix storage engine from the
         :mod:`repro.sbm.block_storage` registry: 'dense' (contiguous
         C x C int64, the oracle), 'sparse' (per-row non-zero arrays,
-        O(nnz) memory) or 'hybrid' (LRU dense line cache + write-behind
-        journal over a sparse backing). Trajectories are bit-identical;
+        O(nnz) memory) or 'hybrid' (a size rule: sparse while the
+        8·C² byte matrix exceeds the storage budget, dense once a merge
+        phase brings C within it). Trajectories are bit-identical;
         only memory and wall-clock differ. 'auto' defers the choice to
         :func:`~repro.sbm.block_storage.resolve_block_storage`, which
         picks dense/hybrid from (C, density, memory budget) at run

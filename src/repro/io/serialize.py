@@ -374,8 +374,8 @@ def save_blockmodel(bm: Blockmodel, path: str | os.PathLike[str]) -> None:
 
     The matrix is densified for the archive regardless of the in-memory
     storage engine (compression flattens the zero runs anyway); the
-    engine's registry name rides along so a load reconstructs the same
-    engine.
+    registry name the blockmodel was built under rides along, so a load
+    rebuilds the same engine (or, for ``hybrid``, re-applies the rule).
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):  # match np.savez's implicit suffix
@@ -420,14 +420,16 @@ def load_blockmodel(path: str | os.PathLike[str]) -> Blockmodel:
             f"{path}: B shape {B.shape} inconsistent with num_blocks {num_blocks}"
         )
     try:
-        storage_cls = BLOCK_STORAGES.get(storage)
+        builder = BLOCK_STORAGES.get(storage)
     except BackendError as exc:
         raise SerializationError(f"{path}: {exc}") from exc
-    state = storage_cls.from_dense(B)
-    return Blockmodel(
+    state = builder.from_dense(B)
+    bm = Blockmodel(
         B=state,
         d_out=state.row_sums(),
         d_in=state.col_sums(),
         assignment=assignment,
         num_blocks=num_blocks,
     )
+    bm.storage_name = storage
+    return bm

@@ -555,9 +555,11 @@ class SweepEngine:
             with self._mcmc_exclusive():
                 stats = self.run_sweep(bm, graph, bound, iteration, sweep)
                 mdl = bm.mdl(graph)
+                nnz = bm.state.nnz  # O(C²) on dense: timed, read once
             stats.delta_mdl = mdl - monitor.last_mdl
-            stats.b_nnz = bm.state.nnz
-            stats.b_density = bm.state.density
+            stats.b_nnz = nnz
+            c = bm.state.num_blocks
+            stats.b_density = float(nnz) / float(c * c) if c else 0.0
             stats_log.append(
                 stats if self.config.record_work else stats.without_work()
             )

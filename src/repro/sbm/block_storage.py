@@ -17,8 +17,7 @@ a small contract of reads and O(change) mutations:
 * **densify** for MDL evaluation and serialization.
 
 This module defines that contract (:class:`BlockState`), a registry
-(``BLOCK_STORAGES``) and the two
-built-in engines:
+(``BLOCK_STORAGES``) and the two built-in engines:
 
 ``dense``
     The original contiguous int64 matrix, retained as the oracle. Its
@@ -33,24 +32,20 @@ built-in engines:
     batch gathers and the merge kernels; it is invalidated by any
     mutation and never consulted on the serial per-move path, which
     uses only the per-row/per-column arrays.
-``hybrid``
-    A sweep-burst engine layered over a sparse backing store: an LRU of
-    materialized dense rows/columns for high-traffic blocks plus a
-    write-behind cell-delta journal. CDF/row reads hit the dense cache
-    lines (dense-identity :class:`RowCDF`, so draws are byte-equal to
-    the oracle), ``apply_move``/``scatter_edges`` append journal chunks
-    and write through cached lines in O(deg). When every row is cached
-    (``C <= cache_lines``) ``gather``, ``likelihood_matrix`` and ``nnz``
-    read the row buffer, which already holds the journal, after auditing
-    it for negative counts; otherwise whole-matrix reads flush the
-    journal and reuse the sparse paths, as ``merge_into`` and
-    ``compact`` always do. Per-line version counters let
-    :class:`repro.sbm.incremental.ProposalCache` revalidate lazily
-    instead of evicting the whole move dirty set.
 
-The ``auto`` policy (:func:`resolve_block_storage`) is not an engine:
-it resolves to ``dense`` or ``hybrid`` from (C, density, memory budget)
-before any state is built, so config digests record the decision.
+Two more storage names are rules, not engines:
+
+``hybrid`` (:class:`HybridRule`)
+    A size rule applied every time a blockmodel is built from an
+    assignment or loaded from an archive: ``dense`` when the ``8·C²``
+    byte matrix fits the storage budget (:func:`storage_budget_bytes`),
+    ``sparse`` otherwise. The agglomerative fit shrinks C at every merge
+    phase, so a large fit starts sparse at C = V and turns dense once C
+    is small enough; moves, barriers, copies and compaction keep the
+    engine they have.
+``auto`` (:func:`resolve_block_storage`)
+    Resolves to ``dense`` or ``hybrid`` from (C, density, memory budget)
+    before any state is built, so config digests record the decision.
 
 Bit-identical equivalence
 -------------------------
@@ -71,16 +66,14 @@ the golden-trajectory gate):
    over the flattened dense matrix, whose rounding depends on the zero
    cells' positions. :meth:`BlockState.likelihood_matrix` therefore
    hands the entropy kernel a dense int64 matrix from every engine —
-   the sparse engine materializes one per evaluation, the resident
-   hybrid engine copies its ``C×C`` row buffer — keeping MDL traces
-   byte-equal to the dense oracle.
+   the sparse engine materializes one per evaluation — keeping MDL
+   traces byte-equal to the dense oracle.
 """
 
 from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 
 import numpy as np
 
@@ -94,9 +87,10 @@ __all__ = [
     "BlockState",
     "DenseBlockState",
     "SparseBlockState",
-    "HybridBlockState",
+    "HybridRule",
     "BLOCK_STORAGES",
     "resolve_block_storage",
+    "storage_budget_bytes",
     "AUTO_STORAGE",
     "STORAGE_BUDGET_ENV",
 ]
@@ -162,16 +156,6 @@ class BlockState(ABC):
 
     name: str = "abstract"
     num_blocks: int
-
-    #: Engines that bump a per-block version counter on every write set
-    #: this True and implement :meth:`line_version`; caches keyed on a
-    #: block's symmetrized row can then revalidate lazily instead of
-    #: being evicted eagerly after every accepted move.
-    tracks_line_versions: bool = False
-
-    def line_version(self, u: int) -> int:
-        """Monotonic write counter for block ``u``'s row+column lines."""
-        raise NotImplementedError(f"{self.name} storage has no line versions")
 
     # -- reads ----------------------------------------------------------
     @abstractmethod
@@ -821,469 +805,12 @@ class SparseBlockState(BlockState):
 
 
 # ----------------------------------------------------------------------
-# Hybrid engine: LRU dense lines + write-behind journal over sparse
-# ----------------------------------------------------------------------
-#: Consolidate a hybrid journal axis once it holds this many batches:
-#: miss replay binary-searches every batch, so the list must stay short.
-_MAX_JOURNAL_BATCHES = 4
-
-
-class HybridBlockState(BlockState):
-    """Sweep-burst engine: dense LRU line cache over a sparse backing.
-
-    The sparse engine owns the authoritative compressed matrix, but
-    even its batched merge re-sorts every touched line, which a burst
-    of per-move writes would pay once per move. This engine sits in
-    front of it with three structures:
-
-    * **LRU line caches** — up to :attr:`cache_lines` materialized dense
-      rows and as many columns, stored as rows of one 2-D buffer per
-      axis with an O(1) line → slot lookup array. ``sym_row_cdf`` on a
-      cached block is two O(C) adds and a prefix sum, i.e. the dense
-      oracle's exact arithmetic, so the returned :class:`RowCDF` is the
-      dense-identity form and draws are byte-equal by construction.
-    * **write-behind journal** — ``apply_move``/``scatter_edges`` append
-      one line-sorted ``(lines, keys, deltas)`` batch per axis instead
-      of merging into the sparse arrays, and write through every cached
-      cell of the batch with a single ``np.add.at`` on the 2-D buffer
-      (the slot array turns "which of these lines are cached" into one
-      fancy index — no per-line Python loop on the write path).
-      Whole-matrix reads, merges, compaction, copies and serialization
-      flush the journal through the sparse engine's aggregation path
-      (which also performs the deferred negative-count audit) — except
-      ``gather``, ``likelihood_matrix`` and ``nnz`` with every row
-      resident, which audit and read the row buffer instead.
-    * **per-block version counters** — bumped for every line a write
-      touches, letting :class:`repro.sbm.incremental.ProposalCache`
-      revalidate CDFs row-granularly instead of evicting the whole
-      ``{r,s} ∪ t_out ∪ t_in`` dirty set.
-
-    A cache miss replays the missed line's pending journal entries on
-    top of the backing row — each batch is line-sorted, so replay is a
-    binary search per batch, and the batch list is consolidated into a
-    single sorted batch whenever it exceeds
-    :data:`_MAX_JOURNAL_BATCHES` (amortized vectorized argsort, keeping
-    per-miss replay O(log) regardless of how many small per-move writes
-    accumulated). Line reads therefore never require a flush. With the
-    default budget (``max(256, C // 16)`` lines per axis) the buffers
-    top out at ``2 · cache_lines · C · 8`` bytes — 12.5% of the dense
-    matrix at C ≥ 4096.
-
-    All journaled quantities are int64 edge-count deltas, so replay and
-    write-through order cannot affect the resulting cells; bit-identity
-    with the dense oracle needs no float reasoning on this path.
-    """
-
-    name = "hybrid"
-
-    __slots__ = ("num_blocks", "_backing", "cache_lines",
-                 "_row_lru", "_col_lru", "_row_slots", "_col_slots",
-                 "_row_buf", "_col_buf", "_row_resident", "_col_resident",
-                 "_jrow", "_jcol", "_pending",
-                 "_flush_threshold", "_versions")
-
-    def __init__(
-        self, backing: SparseBlockState, cache_lines: int | None = None
-    ) -> None:
-        if not isinstance(backing, SparseBlockState):
-            raise BlockmodelError(
-                "hybrid storage wraps a SparseBlockState backing, got "
-                f"{type(backing).__name__}"
-            )
-        self._backing = backing
-        self.num_blocks = backing.num_blocks
-        if cache_lines is None:
-            cache_lines = max(256, self.num_blocks // 16)
-        # A cache larger than the matrix is just the matrix.
-        self.cache_lines = min(int(cache_lines), self.num_blocks)
-        # True once _prefill_axis made every line of the axis resident
-        # at slot == line; reads then skip the LRU machinery entirely.
-        self._row_resident = False
-        self._col_resident = False
-        # line → LRU slot; the OrderedDict carries recency, the arrays
-        # give the write path its vectorized line → slot lookup.
-        self._row_lru: OrderedDict[int, int] = OrderedDict()
-        self._col_lru: OrderedDict[int, int] = OrderedDict()
-        self._row_slots = np.full(self.num_blocks, -1, dtype=np.int64)
-        self._col_slots = np.full(self.num_blocks, -1, dtype=np.int64)
-        # (cache_lines, C) buffers, allocated on first materialization.
-        self._row_buf: np.ndarray | None = None
-        self._col_buf: np.ndarray | None = None
-        # per-axis lists of line-sorted (lines, keys, deltas) batches
-        self._jrow: list[tuple[IntArray, IntArray, IntArray]] = []
-        self._jcol: list[tuple[IntArray, IntArray, IntArray]] = []
-        self._pending = 0
-        self._flush_threshold = max(4096, 8 * self.num_blocks)
-        self._versions = np.zeros(self.num_blocks, dtype=np.int64)
-
-    # -- journal --------------------------------------------------------
-    def _flush(self) -> None:
-        """Fold every pending journal batch into the sparse backing.
-
-        The backing's aggregation path also audits non-negativity, so a
-        caller delta-accounting bug surfaces here (at the latest at the
-        next whole-matrix read, which audits the row buffer instead when
-        it is resident) rather than per-move. A failed audit leaves the
-        backing untouched and the journal pending, so every later flush
-        raises again instead of reading the backing without those deltas.
-        Cached lines stay valid: they already include the journal deltas.
-        """
-        if self._pending == 0:
-            return
-        C = self.num_blocks
-        keys = np.concatenate([ln * C + k for ln, k, _ in self._jrow])
-        deltas = np.concatenate([d for _, _, d in self._jrow])
-        self._backing._apply_cell_deltas(keys, deltas)
-        self._jrow.clear()
-        self._jcol.clear()
-        self._pending = 0
-
-    @staticmethod
-    def _consolidate(
-        journal: list[tuple[IntArray, IntArray, IntArray]],
-    ) -> None:
-        """Merge the batch list into one line-sorted batch.
-
-        Runs on the *miss* path only (writes append in O(1)): a miss
-        that finds more than :data:`_MAX_JOURNAL_BATCHES` batches pays
-        one vectorized argsort so that it — and every later miss until
-        the next pile-up — replays with a single binary search.
-        """
-        lines = np.concatenate([b[0] for b in journal])
-        keys = np.concatenate([b[1] for b in journal])
-        deltas = np.concatenate([b[2] for b in journal])
-        order = np.argsort(lines, kind="stable")
-        journal[:] = [(lines[order], keys[order], deltas[order])]
-
-    @staticmethod
-    def _write_through(
-        slots: IntArray,
-        buf: np.ndarray | None,
-        lines: IntArray,
-        keys: IntArray,
-        deltas: IntArray,
-    ) -> None:
-        """Apply a batch to every cached line it touches, in one add.at."""
-        if buf is None:
-            return
-        s = slots[lines]
-        hit = s >= 0
-        if hit.any():
-            np.add.at(buf, (s[hit], keys[hit]), deltas[hit])
-
-    def _record(self, rows: IntArray, cols: IntArray, deltas: IntArray) -> None:
-        """Journal a batch of cell deltas (duplicates allowed)."""
-        n = rows.shape[0]
-        if n == 0:
-            return
-        C = self.num_blocks
-        order = np.argsort(rows * C + cols, kind="stable")
-        self._jrow.append((rows[order], cols[order], deltas[order]))
-        self._write_through(self._row_slots, self._row_buf, rows, cols, deltas)
-        order = np.argsort(cols * C + rows, kind="stable")
-        self._jcol.append((cols[order], rows[order], deltas[order]))
-        self._write_through(self._col_slots, self._col_buf, cols, rows, deltas)
-        np.add.at(self._versions, rows, 1)
-        np.add.at(self._versions, cols, 1)
-        self._pending += n
-        if self._pending >= self._flush_threshold:
-            self._flush()
-
-    # -- line materialization -------------------------------------------
-    @staticmethod
-    def _replay(
-        journal: list[tuple[IntArray, IntArray, IntArray]],
-        line: int,
-        target: IntArray,
-    ) -> None:
-        """Apply a line's pending deltas; batches are line-sorted."""
-        for lines, keys, deltas in journal:
-            lo, hi = lines.searchsorted((line, line + 1)).tolist()
-            if hi > lo:
-                _K.index_add(target, keys[lo:hi], deltas[lo:hi])
-
-    def _prefill_axis(self, axis: int) -> None:
-        """Materialize *every* line of an axis in one vectorized shot.
-
-        Only possible when ``C <= cache_lines``; in that regime the
-        hybrid engine is a dense mirror with a write-behind journal, so
-        the first miss pays one ``to_dense`` instead of C per-line
-        gathers and no later read ever misses (until an invalidation).
-        """
-        C = self.num_blocks
-        dense = self._backing.to_dense()
-        buf = np.zeros((self.cache_lines, C), dtype=np.int64)
-        buf[:C] = dense if axis == 0 else dense.T
-        for lines, keys, deltas in (self._jrow if axis == 0 else self._jcol):
-            np.add.at(buf, (lines, keys), deltas)
-        lru = self._row_lru if axis == 0 else self._col_lru
-        lru.clear()
-        lru.update((i, i) for i in range(C))
-        slots = self._row_slots if axis == 0 else self._col_slots
-        slots[:] = np.arange(C, dtype=np.int64)
-        if axis == 0:
-            self._row_buf = buf
-            self._row_resident = True
-        else:
-            self._col_buf = buf
-            self._col_resident = True
-
-    def _materialize_axis(self, axis: int, line: int) -> IntArray:
-        """Return the cached dense line, materializing (and possibly
-        evicting) on a miss. ``axis`` 0 = rows, 1 = cols."""
-        lru = self._row_lru if axis == 0 else self._col_lru
-        slot = lru.get(line)
-        if slot is not None:
-            lru.move_to_end(line)
-            return (self._row_buf if axis == 0 else self._col_buf)[slot]
-        if self.num_blocks <= self.cache_lines:
-            self._prefill_axis(axis)
-            return (self._row_buf if axis == 0 else self._col_buf)[line]
-        slots = self._row_slots if axis == 0 else self._col_slots
-        buf = self._row_buf if axis == 0 else self._col_buf
-        if buf is None:
-            buf = np.zeros((self.cache_lines, self.num_blocks), dtype=np.int64)
-            if axis == 0:
-                self._row_buf = buf
-            else:
-                self._col_buf = buf
-        if len(lru) >= self.cache_lines:
-            evicted, slot = lru.popitem(last=False)
-            slots[evicted] = -1
-        else:
-            slot = len(lru)
-        backing = self._backing
-        if axis == 0:
-            keys, vals = backing._row_cols[line], backing._row_vals[line]
-        else:
-            keys, vals = backing._col_rows[line], backing._col_vals[line]
-        out = buf[slot]
-        out.fill(0)
-        out[keys] = vals
-        journal = self._jrow if axis == 0 else self._jcol
-        if len(journal) > _MAX_JOURNAL_BATCHES:
-            self._consolidate(journal)
-        self._replay(journal, line, out)
-        lru[line] = slot
-        slots[line] = slot
-        return out
-
-    def _materialize_row(self, r: int) -> IntArray:
-        return self._materialize_axis(0, r)
-
-    def _materialize_col(self, c: int) -> IntArray:
-        return self._materialize_axis(1, c)
-
-    def _invalidate_lines(self) -> None:
-        """Drop every cached line and advance every version counter."""
-        self._row_lru.clear()
-        self._col_lru.clear()
-        self._row_slots.fill(-1)
-        self._col_slots.fill(-1)
-        self._row_resident = False
-        self._col_resident = False
-        self._versions += 1
-
-    # -- reads ----------------------------------------------------------
-    # The ``_row_resident`` fast paths matter: in the C <= cache_lines
-    # regime every line sits at slot == line, and skipping the LRU dict
-    # work brings per-read cost to within a few percent of the dense
-    # oracle's direct indexing.
-    def get(self, r: int, c: int) -> int:
-        if self._row_resident:
-            return int(self._row_buf[r, c])
-        return int(self._materialize_row(r)[c])
-
-    def row_gather(self, r: int, cols: IntArray) -> IntArray:
-        row = self._row_buf[r] if self._row_resident else self._materialize_row(r)
-        return row[np.asarray(cols, dtype=np.int64)]
-
-    def col_gather(self, c: int, rows: IntArray) -> IntArray:
-        col = self._col_buf[c] if self._col_resident else self._materialize_col(c)
-        return col[np.asarray(rows, dtype=np.int64)]
-
-    def _resident_matrix(self) -> np.ndarray | None:
-        """The exact ``C×C`` matrix when the row axis is resident, else None.
-
-        Prefill built the buffer from the backing plus the journal and
-        every later write went through it, so it already holds what a
-        flush would produce. While the journal is non-empty the flush's
-        non-negativity audit has not run on those cells yet, so it runs
-        here: a delta-accounting bug must not reach a reader as a
-        silently stored negative count.
-        """
-        if not self._row_resident:
-            return None
-        buf = self._row_buf
-        if self._pending and int(buf.min()) < 0:
-            line = int(np.argmax((buf < 0).any(axis=1)))
-            raise BlockmodelError(f"negative count in hybrid storage line {line}")
-        return buf
-
-    def gather(self, rows: IntArray, cols: IntArray) -> IntArray:
-        buf = self._resident_matrix()
-        if buf is not None:
-            return buf[np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)]
-        self._flush()
-        return self._backing.gather(rows, cols)
-
-    def dense_row(self, r: int) -> IntArray:
-        if self._row_resident:
-            return self._row_buf[r].copy()
-        return self._materialize_row(r).copy()
-
-    def dense_col(self, c: int) -> IntArray:
-        if self._col_resident:
-            return self._col_buf[c].copy()
-        return self._materialize_col(c).copy()
-
-    def diagonal(self) -> IntArray:
-        self._flush()
-        return self._backing.diagonal()
-
-    def sym_row_cdf(self, u: int) -> RowCDF:
-        if self._row_resident and self._col_resident:
-            return RowCDF(
-                None, _K.sym_cdf_lines(self._row_buf[u], self._col_buf[u])
-            )
-        row = self._materialize_row(u)
-        col = self._materialize_col(u)
-        return RowCDF(None, _K.sym_cdf_lines(row, col))
-
-    def nonzero(self) -> tuple[IntArray, IntArray, IntArray]:
-        self._flush()
-        return self._backing.nonzero()
-
-    def row_sums(self) -> IntArray:
-        self._flush()
-        return self._backing.row_sums()
-
-    def col_sums(self) -> IntArray:
-        self._flush()
-        return self._backing.col_sums()
-
-    def to_dense(self) -> np.ndarray:
-        self._flush()
-        return self._backing.to_dense()
-
-    def likelihood_matrix(self) -> np.ndarray:
-        buf = self._resident_matrix()
-        if buf is not None:
-            return buf.copy()
-        self._flush()
-        return self._backing.likelihood_matrix()
-
-    # -- mutations ------------------------------------------------------
-    def apply_move(self, r, s, t_out, c_out, t_in, c_in, loops) -> None:
-        t_out = np.asarray(t_out, dtype=np.int64)
-        t_in = np.asarray(t_in, dtype=np.int64)
-        parts_r = [
-            np.full(t_out.shape[0], r, dtype=np.int64),
-            np.full(t_out.shape[0], s, dtype=np.int64),
-            t_in, t_in,
-        ]
-        parts_c = [t_out, t_out,
-                   np.full(t_in.shape[0], r, dtype=np.int64),
-                   np.full(t_in.shape[0], s, dtype=np.int64)]
-        parts_d = [-np.asarray(c_out, dtype=np.int64),
-                   np.asarray(c_out, dtype=np.int64),
-                   -np.asarray(c_in, dtype=np.int64),
-                   np.asarray(c_in, dtype=np.int64)]
-        if loops:
-            diag = np.asarray([r, s], dtype=np.int64)
-            parts_r.append(diag)
-            parts_c.append(diag)
-            parts_d.append(np.asarray([-loops, loops], dtype=np.int64))
-        self._record(
-            np.concatenate(parts_r),
-            np.concatenate(parts_c),
-            np.concatenate(parts_d),
-        )
-
-    def scatter_edges(self, old_src, old_dst, new_src, new_dst) -> None:
-        old_src = np.asarray(old_src, dtype=np.int64)
-        new_src = np.asarray(new_src, dtype=np.int64)
-        rows = np.concatenate([old_src, new_src])
-        if rows.shape[0] == 0:
-            return
-        cols = np.concatenate([
-            np.asarray(old_dst, dtype=np.int64),
-            np.asarray(new_dst, dtype=np.int64),
-        ])
-        deltas = np.concatenate([
-            np.full(old_src.shape[0], -1, dtype=np.int64),
-            np.full(new_src.shape[0], 1, dtype=np.int64),
-        ])
-        self._record(rows, cols, deltas)
-
-    def merge_into(self, r: int, s: int) -> None:
-        self._flush()
-        self._backing.merge_into(r, s)
-        # Every cached row holds cells at columns r and s, and every
-        # cached column holds cells at rows r and s — all shifted by the
-        # merge, so the whole cache (and every CDF built on it) is stale.
-        self._invalidate_lines()
-
-    def compact(self, keep: IntArray, mapping: IntArray) -> "HybridBlockState":
-        self._flush()
-        return HybridBlockState(self._backing.compact(keep, mapping))
-
-    def copy(self) -> "HybridBlockState":
-        self._flush()
-        return HybridBlockState(self._backing.copy(), self.cache_lines)
-
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def from_edges(cls, src_blocks, dst_blocks, num_blocks) -> "HybridBlockState":
-        return cls(SparseBlockState.from_edges(src_blocks, dst_blocks, num_blocks))
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "HybridBlockState":
-        return cls(SparseBlockState.from_dense(dense))
-
-    # -- observability --------------------------------------------------
-    tracks_line_versions = True
-
-    def line_version(self, u: int) -> int:
-        return int(self._versions[u])
-
-    @property
-    def nnz(self) -> int:
-        # Read per sweep for the sweep stats: a resident buffer answers
-        # without flushing, like gather and likelihood_matrix.
-        buf = self._resident_matrix()
-        if buf is not None:
-            return int(np.count_nonzero(buf))
-        self._flush()
-        return self._backing.nnz
-
-    @property
-    def total(self) -> int:
-        self._flush()
-        return self._backing.total
-
-    def memory_bytes(self) -> int:
-        """Backing + line buffers + journal + lookup arrays, no flush."""
-        total = self._backing.memory_bytes() + int(self._versions.nbytes)
-        total += int(self._row_slots.nbytes) + int(self._col_slots.nbytes)
-        per_array_overhead = 112
-        for buf in (self._row_buf, self._col_buf):
-            if buf is not None:
-                total += int(buf.nbytes) + per_array_overhead
-        for journal in (self._jrow, self._jcol):
-            for lines, keys, deltas in journal:
-                total += int(lines.nbytes) + int(keys.nbytes)
-                total += int(deltas.nbytes) + 3 * per_array_overhead
-        return total
-
-
-# ----------------------------------------------------------------------
-# The "auto" storage policy
+# The storage budget and the two rules built on it
 # ----------------------------------------------------------------------
 #: Config value that defers the engine choice to the policy below.
 AUTO_STORAGE = "auto"
 
-#: Environment override for the policy's dense-matrix memory budget.
+#: Environment override for the dense-matrix memory budget.
 STORAGE_BUDGET_ENV = "REPRO_STORAGE_BUDGET_BYTES"
 
 #: Above this budget a dense (C, C) int64 matrix is refused by default.
@@ -1294,6 +821,56 @@ _SMALL_DENSE_BYTES = 32 * 2**20
 
 #: A matrix this full gains nothing from sparse-backed storage.
 _DENSE_DENSITY = 0.05
+
+
+def storage_budget_bytes() -> int:
+    """The dense-matrix memory budget in bytes.
+
+    ``REPRO_STORAGE_BUDGET_BYTES`` when set, else 512 MiB. A value that
+    is not a non-negative integer raises :class:`BackendError` naming
+    the variable.
+    """
+    raw = os.environ.get(STORAGE_BUDGET_ENV)
+    if raw is None:
+        return _DEFAULT_BUDGET_BYTES
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise BackendError(
+            f"{STORAGE_BUDGET_ENV} must be a non-negative integer number "
+            f"of bytes, got {raw!r}"
+        )
+    return budget
+
+
+class HybridRule:
+    """Size rule: dense while ``8·C²`` fits the storage budget, else sparse.
+
+    Registered as ``hybrid``. Not an engine: its builders hand back a
+    :class:`DenseBlockState` or :class:`SparseBlockState` chosen at the
+    C being built, reading the budget on every build. Both engines
+    replay the same chains, so a fit whose C shrinks past the threshold
+    switches engines without changing its trajectory.
+    """
+
+    name = "hybrid"
+
+    @staticmethod
+    def engine(num_blocks: int) -> type[BlockState]:
+        """The engine the rule picks for a ``num_blocks``-block matrix."""
+        if 8 * num_blocks * num_blocks <= storage_budget_bytes():
+            return DenseBlockState
+        return SparseBlockState
+
+    @classmethod
+    def from_edges(cls, src_blocks, dst_blocks, num_blocks) -> BlockState:
+        return cls.engine(num_blocks).from_edges(src_blocks, dst_blocks, num_blocks)
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> BlockState:
+        return cls.engine(int(np.shape(dense)[0])).from_dense(dense)
 
 
 def resolve_block_storage(
@@ -1315,9 +892,7 @@ def resolve_block_storage(
     if name != AUTO_STORAGE:
         return name, "explicit"
     if budget_bytes is None:
-        budget_bytes = int(
-            os.environ.get(STORAGE_BUDGET_ENV, _DEFAULT_BUDGET_BYTES)
-        )
+        budget_bytes = storage_budget_bytes()
     c = max(int(num_vertices), 1)
     dense_bytes = 8 * c * c
     density = float(num_edges) / float(c * c)
@@ -1340,7 +915,10 @@ def resolve_block_storage(
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-BLOCK_STORAGES: Registry[type[BlockState]] = Registry("block storage", BackendError)
+#: Name → builder: an engine class, or the ``hybrid`` rule that picks one.
+BLOCK_STORAGES: Registry[type[BlockState] | type[HybridRule]] = Registry(
+    "block storage", BackendError
+)
 BLOCK_STORAGES.register("dense", DenseBlockState)
 BLOCK_STORAGES.register("sparse", SparseBlockState)
-BLOCK_STORAGES.register("hybrid", HybridBlockState)
+BLOCK_STORAGES.register("hybrid", HybridRule)

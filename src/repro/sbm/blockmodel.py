@@ -11,10 +11,11 @@ transitions SBP needs:
   vectorized pass (the per-sweep reconstruction of A-SBP, Alg. 3),
 * :meth:`merge_blocks` / :meth:`compact` — the block-merge phase (Alg. 1).
 
-Storage is selected at construction (``storage="dense"`` or
-``"sparse"``; see :mod:`repro.sbm.block_storage`): dense keeps the
+Storage is selected at construction (``storage="dense"``, ``"sparse"``
+or ``"hybrid"``; see :mod:`repro.sbm.block_storage`): dense keeps the
 original contiguous C x C oracle, sparse keeps per-row non-zero arrays
-whose footprint scales with nnz rather than C^2. Both engines produce
+whose footprint scales with nnz rather than C^2, and the hybrid rule
+picks one of the two from the C being built. Both engines produce
 bit-identical trajectories. The :attr:`B` property preserves the legacy
 dense view — for the dense engine it is the *live* array (in-place pokes
 keep working); for sparse engines it is a dense materialization.
@@ -31,6 +32,7 @@ from repro.sbm.block_storage import (
     BLOCK_STORAGES,
     BlockState,
     DenseBlockState,
+    HybridRule,
     resolve_block_storage,
 )
 from repro.sbm.entropy import description_length
@@ -40,19 +42,16 @@ __all__ = ["Blockmodel"]
 
 
 def _resolve_storage(
-    storage: str | type[BlockState], graph: Graph | None = None
-) -> type[BlockState]:
-    if isinstance(storage, str):
-        if storage == AUTO_STORAGE:
-            if graph is None:
-                raise BlockmodelError(
-                    "storage='auto' needs a graph to resolve against"
-                )
-            storage, _ = resolve_block_storage(
-                storage, graph.num_vertices, graph.num_edges
-            )
-        return BLOCK_STORAGES.get(storage)
-    return storage
+    storage: str | type[BlockState], graph: Graph
+) -> type[BlockState] | type[HybridRule]:
+    """The registered builder for ``storage``, with ``auto`` resolved."""
+    if not isinstance(storage, str):
+        return storage
+    if storage == AUTO_STORAGE:
+        storage, _ = resolve_block_storage(
+            storage, graph.num_vertices, graph.num_edges
+        )
+    return BLOCK_STORAGES.get(storage)
 
 
 class Blockmodel:
@@ -73,6 +72,10 @@ class Blockmodel:
     num_blocks:
         The matrix dimension C. Blocks may be empty after moves; use
         :meth:`compact` to drop them.
+    storage_name:
+        Registry name the state was built under. ``"hybrid"`` stays
+        ``"hybrid"`` whichever engine the rule picked, so archives and
+        merge results re-apply the rule at their own C.
     delta_epoch:
         Monotonic counter bumped whenever the state is rewritten without
         per-move notification (:meth:`apply_edge_delta`, :meth:`rebuild`);
@@ -82,7 +85,7 @@ class Blockmodel:
 
     __slots__ = (
         "state", "d_out", "d_in", "d", "assignment", "num_blocks",
-        "delta_epoch",
+        "delta_epoch", "storage_name",
     )
 
     def __init__(
@@ -103,6 +106,7 @@ class Blockmodel:
         self.assignment = assignment
         self.num_blocks = num_blocks
         self.delta_epoch = 0
+        self.storage_name = self.state.name
 
     @property
     def B(self) -> np.ndarray:
@@ -114,11 +118,6 @@ class Blockmodel:
         sites, diagnostics and serialization.
         """
         return self.state.likelihood_matrix()
-
-    @property
-    def storage_name(self) -> str:
-        """Registry name of the active storage engine."""
-        return self.state.name
 
     # ------------------------------------------------------------------
     # Construction
@@ -142,12 +141,12 @@ class Blockmodel:
             num_blocks = int(assignment.max()) + 1 if assignment.size else 1
         if assignment.size and (assignment.min() < 0 or assignment.max() >= num_blocks):
             raise BlockmodelError("assignment values must lie in [0, num_blocks)")
-        state = _count_block_edges_state(
-            graph, assignment, num_blocks, _resolve_storage(storage, graph)
-        )
-        d_out = state.row_sums()
-        d_in = state.col_sums()
-        return cls(state, d_out, d_in, assignment.copy(), num_blocks)
+        builder = _resolve_storage(storage, graph)
+        state = _count_block_edges_state(graph, assignment, num_blocks, builder)
+        bm = cls(state, state.row_sums(), state.col_sums(), assignment.copy(),
+                 num_blocks)
+        bm.storage_name = builder.name
+        return bm
 
     @classmethod
     def singleton(
@@ -160,13 +159,15 @@ class Blockmodel:
         )
 
     def copy(self) -> "Blockmodel":
-        return Blockmodel(
+        out = Blockmodel(
             self.state.copy(),
             self.d_out.copy(),
             self.d_in.copy(),
             self.assignment.copy(),
             self.num_blocks,
         )
+        out.storage_name = self.storage_name
+        return out
 
     def rebuild(self, graph: Graph, assignment: Assignment | None = None) -> None:
         """Recompute the matrix and degrees from ``assignment`` (A-SBP step).
@@ -350,7 +351,7 @@ def _count_block_edges_state(
     graph: Graph,
     assignment: Assignment,
     num_blocks: int,
-    storage_cls: type[BlockState],
+    builder: type[BlockState] | type[HybridRule],
 ) -> BlockState:
     """Count inter-block edges into a fresh storage engine."""
     if graph.num_edges:
@@ -359,7 +360,7 @@ def _count_block_edges_state(
     else:
         src_blocks = np.empty(0, dtype=np.int64)
         dst_blocks = np.empty(0, dtype=np.int64)
-    return storage_cls.from_edges(src_blocks, dst_blocks, num_blocks)
+    return builder.from_edges(src_blocks, dst_blocks, num_blocks)
 
 
 def _count_block_edges(graph: Graph, assignment: Assignment, num_blocks: int) -> np.ndarray:

@@ -47,7 +47,6 @@ __all__ = [
     "jit_status",
     "kernel_table",
     "sym_cdf_dense",
-    "sym_cdf_lines",
     "cdf_index",
     "seq_sum",
     "xlogx_scalar",
@@ -73,11 +72,6 @@ JIT_DISABLE_ENV = "REPRO_DISABLE_JIT"
 def _sym_cdf_dense_np(B: np.ndarray, u: int) -> np.ndarray:
     """Prefix sum of the symmetrized dense row ``B[u, :] + B[:, u]``."""
     return np.cumsum(B[u, :] + B[:, u])
-
-
-def _sym_cdf_lines_np(row: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Prefix sum of two materialized length-C lines (hybrid cache hit)."""
-    return np.cumsum(row + col)
 
 
 def _cdf_index_np(cdf: np.ndarray, q: int) -> int:
@@ -165,16 +159,6 @@ if _njit is not None:  # pragma: no cover - exercised by the CI kernels job
         acc = np.int64(0)
         for j in range(C):
             acc += B[u, j] + B[j, u]
-            out[j] = acc
-        return out
-
-    @_njit(cache=True)
-    def _sym_cdf_lines_nb(row, col):
-        C = row.shape[0]
-        out = np.empty(C, dtype=np.int64)
-        acc = np.int64(0)
-        for j in range(C):
-            acc += row[j] + col[j]
             out[j] = acc
         return out
 
@@ -275,7 +259,6 @@ if _njit is not None:  # pragma: no cover - exercised by the CI kernels job
     _xlogx_scalar_jit = _xlogx_scalar_nb if _FLOAT_PARITY else None
     _xlogx_counts_jit = _xlogx_counts_nb if _FLOAT_PARITY else None
     _sym_cdf_dense_jit = _sym_cdf_dense_nb
-    _sym_cdf_lines_jit = _sym_cdf_lines_nb
     _cdf_index_jit = _cdf_index_nb
     _apply_move_dense_jit = _apply_move_dense_nb
     _scatter_dense_jit = _scatter_dense_nb
@@ -287,7 +270,6 @@ else:
     _xlogx_scalar_jit = None
     _xlogx_counts_jit = None
     _sym_cdf_dense_jit = None
-    _sym_cdf_lines_jit = None
     _cdf_index_jit = None
     _apply_move_dense_jit = None
     _scatter_dense_jit = None
@@ -297,8 +279,6 @@ else:
 
 #: Compressed/dense symmetrized-row CDF assembly (int64, exact).
 sym_cdf_dense = _select("sym_cdf_dense", _sym_cdf_dense_np, _sym_cdf_dense_jit)
-#: CDF assembly from two materialized lines (hybrid cache hits).
-sym_cdf_lines = _select("sym_cdf_lines", _sym_cdf_lines_np, _sym_cdf_lines_jit)
 #: Integer-plateau inverse-CDF lookup (``side="right"`` semantics).
 cdf_index = _select("cdf_index", _cdf_index_np, _cdf_index_jit)
 #: Strictly left-to-right float sum (delta-MDL reduction discipline).

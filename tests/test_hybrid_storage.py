@@ -1,11 +1,12 @@
-"""Hybrid-engine internals: LRU eviction, write-behind journal, policy.
+"""The ``hybrid`` size rule, the storage budget and the ``auto`` policy.
 
-The equivalence matrices (``test_block_storage.py``,
-``test_storage_equivalence.py``) prove the hybrid engine replays dense
-chains end-to-end; this module attacks the machinery those matrices can
-miss by luck — evictions racing journaled writes, deferred audits,
-memory accounting, the row-granular :class:`ProposalCache` protocol and
-the ``auto`` storage policy.
+``hybrid`` builds a dense engine while the ``8·C²`` byte matrix fits the
+storage budget and a sparse one above it, re-applied at every
+``from_assignment`` and archive load. These tests pin the rule, the
+budget's parsing, and the end-to-end claim: a fit that starts sparse at
+C = V and turns dense after its first merge replays the dense chain
+byte for byte. The equivalence matrices (``test_block_storage.py``,
+``test_storage_equivalence.py``) cover the engines themselves.
 """
 
 from __future__ import annotations
@@ -15,18 +16,31 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from repro import SBPConfig, run_sbp
-from repro.errors import BlockmodelError
+from repro.core import fit_session
+from repro.errors import BackendError
+from repro.io.serialize import load_blockmodel, save_blockmodel
 from repro.resilience.checkpoint import RunCheckpointer, config_digest
 from repro.sbm.block_storage import (
     AUTO_STORAGE,
     STORAGE_BUDGET_ENV,
     DenseBlockState,
-    HybridBlockState,
+    HybridRule,
     SparseBlockState,
     resolve_block_storage,
+    storage_budget_bytes,
 )
 from repro.sbm.blockmodel import Blockmodel
 from repro.sbm.incremental import ProposalCache
+from tests.golden_utils import sweep_barrier
+
+#: Sparse at the planted graph's singleton start (C = V = 80), dense
+#: once a merge phase brings C to 60 or below.
+SWITCH_BUDGET = 8 * 60 * 60
+
+
+@pytest.fixture
+def switch_budget(monkeypatch):
+    monkeypatch.setenv(STORAGE_BUDGET_ENV, str(SWITCH_BUDGET))
 
 
 def _ref_matrix(C: int = 8, seed: int = 3) -> np.ndarray:
@@ -36,233 +50,143 @@ def _ref_matrix(C: int = 8, seed: int = 3) -> np.ndarray:
     return B
 
 
-def _tiny_hybrid(C: int = 8, cache_lines: int = 2, seed: int = 3):
-    """A hybrid state with an adversarially small cache + its dense twin."""
-    ref = _ref_matrix(C, seed)
-    state = HybridBlockState(SparseBlockState.from_dense(ref), cache_lines)
-    return state, DenseBlockState.from_dense(ref)
+class TestSizeRule:
+    def test_threshold_is_the_dense_footprint(self, monkeypatch):
+        monkeypatch.delenv(STORAGE_BUDGET_ENV, raising=False)
+        assert HybridRule.engine(8192) is DenseBlockState  # 512 MiB exactly
+        assert HybridRule.engine(8193) is SparseBlockState
+        monkeypatch.setenv(STORAGE_BUDGET_ENV, str(8 * 10 * 10))
+        assert HybridRule.engine(10) is DenseBlockState
+        assert HybridRule.engine(11) is SparseBlockState
+        monkeypatch.setenv(STORAGE_BUDGET_ENV, "0")
+        assert HybridRule.engine(1) is SparseBlockState
 
+    def test_builders_follow_the_rule(self, monkeypatch):
+        monkeypatch.setenv(STORAGE_BUDGET_ENV, str(8 * 8 * 8))
+        ref = _ref_matrix(8)
+        assert isinstance(HybridRule.from_dense(ref), DenseBlockState)
+        big = _ref_matrix(9)
+        state = HybridRule.from_dense(big)
+        assert isinstance(state, SparseBlockState)
+        assert_array_equal(state.to_dense(), big)
+        src, dst = np.nonzero(big)
+        assert isinstance(HybridRule.from_edges(src, dst, 9), SparseBlockState)
 
-class TestLRUEviction:
-    def test_default_cache_budget(self):
-        state = HybridBlockState(SparseBlockState.from_dense(_ref_matrix()))
-        assert state.cache_lines == 8  # min(max(256, C // 16), C): capped at C
-        src = np.asarray([0], dtype=np.int64)
-        dst = np.asarray([1], dtype=np.int64)
-        mid = HybridBlockState.from_edges(src, dst, 4096)
-        assert mid.cache_lines == 256  # the floor
-        big = HybridBlockState.from_edges(src, dst, 8192)
-        assert big.cache_lines == 512  # C // 16
-
-    def test_evict_then_reread_equals_fresh_gather(self):
-        """An evicted line that had journaled writes re-reads correctly.
-
-        The journal chunk for the evicted line must survive the eviction
-        (only the materialized array is dropped) and be replayed on the
-        next materialization.
-        """
-        state, dense = _tiny_hybrid(cache_lines=2)
-        # Materialize rows 0 and 1, then journal a write into row 0.
-        state.dense_row(0)
-        state.dense_row(1)
-        src = np.asarray([0], dtype=np.int64)
-        dst = np.asarray([3], dtype=np.int64)
-        state.scatter_edges(src, dst, src, np.asarray([5], dtype=np.int64))
-        dense.scatter_edges(src, dst, src, np.asarray([5], dtype=np.int64))
-        # Churn the cache so row 0 (oldest) is evicted, then re-read it.
-        state.dense_row(2)
-        state.dense_row(3)
-        assert 0 not in state._row_lru
-        assert state._pending > 0  # no flush happened along the way
-        assert_array_equal(state.dense_row(0), dense.dense_row(0))
-        assert_array_equal(
-            state.row_gather(0, np.arange(8)), dense.dense_row(0)
-        )
-
-    def test_write_through_during_pending_eviction(self):
-        """Writes landing while the cache is full stay coherent.
-
-        A batch touching both cached lines (write-through) and the line
-        about to evict them (miss → materialize → evict) must leave
-        every read equal to the dense oracle.
-        """
-        state, dense = _tiny_hybrid(cache_lines=2)
-        state.dense_row(0)
-        state.dense_row(1)  # cache full: {0, 1}
-        old_src = np.asarray([0, 1, 2], dtype=np.int64)
-        old_dst = np.asarray([1, 2, 3], dtype=np.int64)
-        new_src = np.asarray([0, 1, 2], dtype=np.int64)
-        new_dst = np.asarray([4, 5, 6], dtype=np.int64)
-        state.scatter_edges(old_src, old_dst, new_src, new_dst)
-        dense.scatter_edges(old_src, old_dst, new_src, new_dst)
-        # Touching row 2 evicts row 0 *after* the write-through landed.
-        assert_array_equal(state.dense_row(2), dense.dense_row(2))
-        assert 0 not in state._row_lru
-        for r in range(8):
-            assert_array_equal(state.dense_row(r), dense.dense_row(r))
-            assert_array_equal(state.dense_col(r), dense.dense_col(r))
-
-    def test_adversarial_access_fuzz(self):
-        """Fixed-seed op soup on a 2-line cache stays byte-equal to dense."""
-        C = 12
-        rng = np.random.default_rng(20240807)
-        ref = rng.integers(0, 6, size=(C, C)).astype(np.int64)
-        state = HybridBlockState(SparseBlockState.from_dense(ref), 2)
-        dense = DenseBlockState.from_dense(ref)
-        for step in range(300):
-            op = rng.integers(0, 5)
-            if op == 0:  # move an edge endpoint between live cells
-                r, c = (int(x) for x in rng.integers(0, C, 2))
-                row = dense.dense_row(r)
-                if row.sum() == 0:
-                    continue
-                old_c = int(rng.choice(np.nonzero(row)[0]))
-                args = (
-                    np.asarray([r], dtype=np.int64),
-                    np.asarray([old_c], dtype=np.int64),
-                    np.asarray([r], dtype=np.int64),
-                    np.asarray([c], dtype=np.int64),
-                )
-                state.scatter_edges(*args)
-                dense.scatter_edges(*args)
-            elif op == 1:
-                u = int(rng.integers(0, C))
-                assert_array_equal(
-                    state.sym_row_cdf(u).cdf,
-                    dense.sym_row_cdf(u).cdf,
-                    err_msg=f"sym_row_cdf({u}) diverged at step {step}",
-                )
-            elif op == 2:
-                r = int(rng.integers(0, C))
-                assert_array_equal(state.dense_row(r), dense.dense_row(r))
-            elif op == 3:
-                c = int(rng.integers(0, C))
-                assert_array_equal(state.dense_col(c), dense.dense_col(c))
-            else:
-                r, c = (int(x) for x in rng.integers(0, C, 2))
-                assert state.get(r, c) == dense.get(r, c)
-        assert_array_equal(state.to_dense(), dense.to_dense())
-
-
-class TestJournal:
-    def test_threshold_triggers_flush(self):
-        state, dense = _tiny_hybrid()
-        state._flush_threshold = 4  # shrink for the test
-        empty = np.empty(0, dtype=np.int64)
-        src = np.asarray([0, 1], dtype=np.int64)
-        dst = np.asarray([3, 4], dtype=np.int64)
-        state.scatter_edges(empty, empty, src, dst)  # 2 pending, no flush
-        dense.scatter_edges(empty, empty, src, dst)
-        assert state._pending == 2
-        new_dst = np.asarray([5, 6], dtype=np.int64)
-        state.scatter_edges(src, dst, src, new_dst)  # 4 entries -> flush
-        dense.scatter_edges(src, dst, src, new_dst)
-        assert state._pending == 0
-        assert not state._jrow and not state._jcol
-        # The backing saw the deltas without any whole-matrix read.
-        assert_array_equal(state._backing.to_dense(), dense.to_dense())
-
-    def test_reads_never_flush(self):
-        state, _ = _tiny_hybrid()
-        src = np.asarray([0], dtype=np.int64)
-        state.scatter_edges(
-            src, np.asarray([3], dtype=np.int64),
-            src, np.asarray([5], dtype=np.int64),
-        )
-        pending = state._pending
-        assert pending > 0
-        state.get(0, 5)
-        state.dense_row(0)
-        state.dense_col(5)
-        state.sym_row_cdf(0)
-        assert state._pending == pending
-        state.to_dense()  # whole-matrix read is the flush point
-        assert state._pending == 0
-
-    def test_negative_count_surfaces_at_flush(self):
-        """The deferred audit still fires: going negative raises."""
-        C = 6
-        state = HybridBlockState(
-            SparseBlockState.from_dense(np.zeros((C, C), dtype=np.int64)), 2
-        )
-        src = np.asarray([1], dtype=np.int64)
-        dst = np.asarray([2], dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        state.scatter_edges(src, dst, empty, empty)  # remove a phantom edge
-        with pytest.raises(BlockmodelError, match="negative count"):
-            state.to_dense()
-
-    def test_failed_flush_keeps_raising(self):
-        """The rejected deltas stay pending: no later read masks them."""
-        C = 6
-        state = HybridBlockState(
-            SparseBlockState.from_dense(np.ones((C, C), dtype=np.int64)), 2
-        )
-        src = np.asarray([1, 1], dtype=np.int64)
-        dst = np.asarray([2, 2], dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        state.scatter_edges(src, dst, empty, empty)  # one edge more than (1, 2) holds
-        for read in (state.to_dense, state.likelihood_matrix, state.row_sums):
-            with pytest.raises(BlockmodelError, match="negative count"):
-                read()
-        assert_array_equal(state._backing.to_dense(), np.ones((C, C), dtype=np.int64))
-
-    @staticmethod
-    def _resident_blockmodel(graph):
-        """A hybrid blockmodel whose cache holds every line, prefilled."""
-        C = 6
-        assignment = np.random.default_rng(8).integers(0, C, graph.num_vertices)
-        bm = Blockmodel.from_assignment(graph, assignment, C, storage="hybrid")
-        assert bm.state.cache_lines == C
-        bm.state.row_gather(0, np.arange(C))  # one line read prefills the axis
-        assert bm.state._row_resident
-        return bm
-
-    def test_negative_count_surfaces_on_resident_reads(self, planted_graph):
-        """Resident reads skip the flush but never the audit."""
+    def test_blockmodel_reports_hybrid_over_either_engine(
+        self, planted_graph, switch_budget
+    ):
         graph, _ = planted_graph
-        bm = self._resident_blockmodel(graph)
-        state = bm.state
-        src = np.asarray([1], dtype=np.int64)
-        dst = np.asarray([2], dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        # remove one edge more than cell (1, 2) holds: a phantom edge
-        phantom = state.get(1, 2) + 1
-        state.scatter_edges(np.repeat(src, phantom), np.repeat(dst, phantom), empty, empty)
-        with pytest.raises(BlockmodelError, match="negative count"):
-            state.gather(src, dst)
-        with pytest.raises(BlockmodelError, match="negative count"):
-            state.likelihood_matrix()
-        with pytest.raises(BlockmodelError, match="negative count"):
-            bm.mdl(graph)
-        with pytest.raises(BlockmodelError, match="negative count"):
-            _ = state.nnz
+        singleton = Blockmodel.singleton(graph, storage="hybrid")
+        assert isinstance(singleton.state, SparseBlockState)
+        small = Blockmodel.from_assignment(
+            graph, np.arange(graph.num_vertices) % 5, 5, storage="hybrid"
+        )
+        assert isinstance(small.state, DenseBlockState)
+        for bm in (singleton, small, singleton.copy(), small.copy()):
+            assert bm.storage_name == "hybrid"
+        small.compact()
+        assert isinstance(small.state, DenseBlockState)
+        assert small.storage_name == "hybrid"
 
-    def test_resident_reads_do_not_flush(self, planted_graph):
+    def test_archive_load_reapplies_the_rule(
+        self, planted_graph, tmp_path, monkeypatch
+    ):
+        """An archive records ``hybrid``; the load picks at its own C."""
         graph, _ = planted_graph
-        bm = self._resident_blockmodel(graph)
-        state = bm.state
-        dense = DenseBlockState.from_dense(state.to_dense())
-        src = np.asarray([0, 4], dtype=np.int64)
-        old_dst = np.asarray([1, 4], dtype=np.int64)
-        new_dst = np.asarray([5, 2], dtype=np.int64)
-        assert state.get(0, 1) and state.get(4, 4)
-        state.scatter_edges(src, old_dst, src, new_dst)
-        dense.scatter_edges(src, old_dst, src, new_dst)
-        pending = state._pending
-        assert pending > 0
-        rows = np.repeat(np.arange(6), 6)
-        cols = np.tile(np.arange(6), 6)
-        assert_array_equal(state.gather(rows, cols), dense.gather(rows, cols))
-        lik = state.likelihood_matrix()
-        assert_array_equal(lik, dense.B)
-        lik[0, 0] += 1  # a copy: the caller cannot write into the buffer
-        assert state.get(0, 0) == dense.get(0, 0)
-        assert state.nnz == dense.nnz
-        assert state._pending == pending
-        assert bm.mdl(graph) == Blockmodel(
-            dense, bm.d_out, bm.d_in, bm.assignment, bm.num_blocks
-        ).mdl(graph)
+        assignment = np.arange(graph.num_vertices) % 7
+        bm = Blockmodel.from_assignment(graph, assignment, 7, storage="hybrid")
+        assert isinstance(bm.state, DenseBlockState)
+        save_blockmodel(bm, tmp_path / "bm.npz")
+        monkeypatch.setenv(STORAGE_BUDGET_ENV, "0")
+        loaded = load_blockmodel(tmp_path / "bm.npz")
+        assert isinstance(loaded.state, SparseBlockState)
+        assert loaded.storage_name == "hybrid"
+        assert_array_equal(loaded.state.to_dense(), bm.state.to_dense())
+
+
+class TestBudget:
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", ""])
+    def test_malformed_budget_raises_typed_error(
+        self, planted_graph, monkeypatch, raw
+    ):
+        graph, _ = planted_graph
+        monkeypatch.setenv(STORAGE_BUDGET_ENV, raw)
+        with pytest.raises(BackendError, match=STORAGE_BUDGET_ENV):
+            storage_budget_bytes()
+        with pytest.raises(BackendError, match=STORAGE_BUDGET_ENV):
+            resolve_block_storage(AUTO_STORAGE, 1 << 16, 10**6)
+        with pytest.raises(BackendError, match=STORAGE_BUDGET_ENV):
+            Blockmodel.singleton(graph, storage="hybrid")
+
+    def test_well_formed_budget_is_read(self, monkeypatch):
+        monkeypatch.delenv(STORAGE_BUDGET_ENV, raising=False)
+        assert storage_budget_bytes() == 512 * 2**20
+        monkeypatch.setenv(STORAGE_BUDGET_ENV, "0")
+        assert storage_budget_bytes() == 0
+        monkeypatch.setenv(STORAGE_BUDGET_ENV, " 4096 ")
+        assert storage_budget_bytes() == 4096
+
+
+def _fit(graph, storage, variant="a-sbp", seed=3, strategy="incremental"):
+    config = SBPConfig(
+        variant=variant, seed=seed, block_storage=storage, record_work=True
+    )
+    with sweep_barrier(strategy):
+        return run_sbp(graph, config)
+
+
+def _assert_same_chain(result, dense) -> None:
+    assert_array_equal(result.assignment, dense.assignment)
+    assert result.mdl == dense.mdl  # bit-identical, not approx
+    assert result.search_history == dense.search_history
+    for field in ("delta_mdl", "accepted", "proposals", "b_nnz", "b_density"):
+        assert [getattr(s, field) for s in result.sweep_stats] == [
+            getattr(s, field) for s in dense.sweep_stats
+        ], field
+
+
+class TestSwitchingFit:
+    def test_fit_goes_sparse_to_dense_on_the_dense_chain(
+        self, planted_graph, switch_budget, monkeypatch
+    ):
+        graph, _ = planted_graph
+        merges = []
+        merge = fit_session.block_merge_phase
+
+        def spy(start, *args, **kwargs):
+            out = merge(start, *args, **kwargs)
+            merges.append((start, out))
+            return out
+
+        monkeypatch.setattr(fit_session, "block_merge_phase", spy)
+        hybrid = _fit(graph, "hybrid")
+        first_start, first_out = merges[0]
+        assert first_start.num_blocks == graph.num_vertices
+        assert isinstance(first_start.state, SparseBlockState)
+        assert 8 * first_out.num_blocks**2 <= SWITCH_BUDGET
+        assert isinstance(first_out.state, DenseBlockState)
+        for start, out in merges:
+            assert start.storage_name == out.storage_name == "hybrid"
+            assert type(out.state) is HybridRule.engine(out.num_blocks)
+        assert hybrid.block_storage == "hybrid"
+        monkeypatch.setattr(fit_session, "block_merge_phase", merge)
+        _assert_same_chain(hybrid, _fit(graph, "dense"))
+
+
+@pytest.mark.slow
+class TestSwitchingEquivalence:
+    """The ``test_storage_equivalence`` matrix, under the switching budget."""
+
+    @pytest.mark.parametrize("strategy", ["rebuild", "incremental"])
+    @pytest.mark.parametrize("variant", ["sbp", "a-sbp", "h-sbp"])
+    def test_switching_hybrid_replays_dense_chain(
+        self, planted_graph, switch_budget, variant, strategy
+    ):
+        graph, _ = planted_graph
+        for seed in (3, 17):
+            dense = _fit(graph, "dense", variant, seed, strategy)
+            hybrid = _fit(graph, "hybrid", variant, seed, strategy)
+            _assert_same_chain(hybrid, dense)
 
 
 class TestMemoryAccounting:
@@ -286,69 +210,14 @@ class TestMemoryAccounting:
         )
         assert state.memory_bytes() >= payload
 
-    def test_hybrid_counts_cache_and_journal(self):
-        state, _ = _tiny_hybrid(C=16, cache_lines=4)
-        base = state.memory_bytes()
-        assert base >= state._backing.memory_bytes()
-        state.dense_row(0)
-        state.dense_col(1)
-        cached = state.memory_bytes()
-        assert cached > base
-        src = np.asarray([0], dtype=np.int64)
-        state.scatter_edges(
-            src, np.asarray([2], dtype=np.int64),
-            src, np.asarray([3], dtype=np.int64),
-        )
-        assert state.memory_bytes() > cached
-        assert state._pending > 0  # memory_bytes must not flush
 
-    def test_hybrid_cache_is_bounded(self):
-        state, _ = _tiny_hybrid(C=32, cache_lines=3)
-        for r in range(32):
-            state.dense_row(r)
-            state.dense_col(r)
-        assert len(state._row_lru) == 3
-        assert len(state._col_lru) == 3
-
-
-class TestProposalCacheRowGranular:
-    def _blockmodel(self, graph, storage):
-        rng = np.random.default_rng(8)
-        assignment = rng.integers(0, 6, graph.num_vertices)
-        return Blockmodel.from_assignment(graph, assignment, 6, storage=storage)
-
-    def test_untouched_rows_survive_a_move(self, planted_graph):
-        """Versioned protocol: a move rebuilds only rows it wrote.
-
-        Under the eager dirty-set protocol the ``{r, s} ∪ t_out ∪ t_in``
-        entries are dropped wholesale; the versioned protocol must keep
-        the *object-identical* CDF for every block whose line the move
-        did not touch, and rebuild exactly the touched ones.
-        """
-        graph, _ = planted_graph
-        bm = self._blockmodel(graph, "hybrid")
-        cache = ProposalCache(bm)
-        assert cache._versioned
-        before = {u: cache.row_cdf(u) for u in range(bm.num_blocks)}
-        t_out = np.asarray([2], dtype=np.int64)
-        t_in = np.asarray([3], dtype=np.int64)
-        ones = np.asarray([1], dtype=np.int64)
-        bm.state.apply_move(0, 1, t_out, ones, t_in, ones, 0)
-        cache.invalidate_move(0, 1, t_out, t_in)  # no-op when versioned
-        touched = {0, 1, 2, 3}
-        for u in range(bm.num_blocks):
-            after = cache.row_cdf(u)
-            if u in touched:
-                assert after is not before[u], f"block {u} served stale CDF"
-                assert_array_equal(after.cdf, bm.state.sym_row_cdf(u).cdf)
-            else:
-                assert after is before[u], f"block {u} rebuilt needlessly"
-
+class TestProposalCache:
     def test_eager_protocol_unchanged_for_dense(self, planted_graph):
         graph, _ = planted_graph
-        bm = self._blockmodel(graph, "dense")
+        rng = np.random.default_rng(8)
+        assignment = rng.integers(0, 6, graph.num_vertices)
+        bm = Blockmodel.from_assignment(graph, assignment, 6, storage="dense")
         cache = ProposalCache(bm)
-        assert not cache._versioned
         cache.row_cdf(0)
         cache.row_cdf(4)
         cache.invalidate_move(
@@ -356,33 +225,6 @@ class TestProposalCacheRowGranular:
         )
         assert 0 not in cache._cdfs
         assert 4 in cache._cdfs
-
-    def test_state_swap_clears_stamps(self, planted_graph):
-        """Fresh state objects restart version counters at zero.
-
-        Without the identity guard a stamp recorded against the old
-        state could falsely validate against the new one.
-        """
-        graph, _ = planted_graph
-        bm = self._blockmodel(graph, "hybrid")
-        cache = ProposalCache(bm)
-        stale = cache.row_cdf(0)
-        bm.state = bm.state.copy()  # e.g. a rebuild barrier swapped states
-        src = np.asarray([0], dtype=np.int64)
-        bm.state.scatter_edges(
-            src, np.asarray([1], dtype=np.int64),
-            src, np.asarray([2], dtype=np.int64),
-        )
-        fresh = cache.row_cdf(0)
-        assert fresh is not stale
-        assert_array_equal(fresh.cdf, bm.state.sym_row_cdf(0).cdf)
-
-    def test_merge_bumps_every_line(self):
-        state, _ = _tiny_hybrid()
-        versions = [state.line_version(u) for u in range(state.num_blocks)]
-        state.merge_into(0, 1)
-        for u in range(state.num_blocks):
-            assert state.line_version(u) > versions[u]
 
 
 class TestAutoPolicy:

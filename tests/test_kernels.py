@@ -22,7 +22,7 @@ from repro.sbm import kernels as K
 from repro.sbm.entropy import xlogx_counts as entropy_xlogx
 
 _NAMES = (
-    "sym_cdf_dense", "sym_cdf_lines", "cdf_index", "seq_sum",
+    "sym_cdf_dense", "cdf_index", "seq_sum",
     "xlogx_scalar", "xlogx_counts", "apply_move_dense", "scatter_dense",
     "index_add", "index_sub",
 )
@@ -65,12 +65,6 @@ class TestCdfKernels:
             assert_array_equal(
                 K.sym_cdf_dense(B, u), np.cumsum(B[u, :] + B[:, u])
             )
-
-    def test_sym_cdf_lines_matches_reference(self):
-        rng = np.random.default_rng(8)
-        row = rng.integers(0, 9, 33).astype(np.int64)
-        col = rng.integers(0, 9, 33).astype(np.int64)
-        assert_array_equal(K.sym_cdf_lines(row, col), np.cumsum(row + col))
 
     def test_cdf_index_matches_searchsorted(self):
         rng = np.random.default_rng(9)
@@ -179,7 +173,7 @@ class TestNumbaParity:
         table = K.kernel_table()
         # Integer kernels are exact in any implementation and must be
         # jitted unconditionally when numba imports.
-        for name in ("sym_cdf_dense", "sym_cdf_lines", "cdf_index",
+        for name in ("sym_cdf_dense", "cdf_index",
                      "apply_move_dense", "scatter_dense",
                      "index_add", "index_sub"):
             assert table[name] == "numba", f"{name} not jitted"

@@ -33,6 +33,7 @@ from repro.mcmc.engine import (
     split_vertices_by_degree,
 )
 from repro.parallel.backend import get_backend
+from repro.sbm.block_storage import DenseBlockState
 from repro.utils.timer import StopwatchPool
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -315,6 +316,40 @@ class TestStatsPlumbing:
                 (s.work_per_vertex is not None) == expect_vector
                 for s in stats
             )
+
+    def test_nnz_read_once_per_sweep_inside_mcmc_timer(self, graph):
+        """The ``b_nnz``/``b_density`` gauges cost one timed ``nnz`` read.
+
+        ``nnz`` is O(C²) on dense storage; reading it twice per sweep, or
+        outside the ``mcmc`` stopwatch, leaves that work in no bucket.
+        """
+        timers = StopwatchPool()
+        reads: list[bool] = []
+
+        class CountingState(DenseBlockState):
+            name = "counting-nnz"
+
+            @property
+            def nnz(self) -> int:
+                reads.append(timers.timer("mcmc").running)
+                return super().nnz
+
+        config = gu.make_config("a-sbp", "vectorized", seed=3, max_sweeps=3)
+        bm = Blockmodel.from_assignment(
+            graph, gu.start_assignment(graph), gu.START_BLOCKS,
+            storage=CountingState,
+        )
+        backend = get_backend(config.backend)
+        try:
+            stats = run_mcmc_phase(bm, graph, config, backend, 1, 0.0, timers)
+        finally:
+            backend.close()
+        assert len(stats) == 3
+        assert reads == [True] * len(stats)
+        c = bm.num_blocks
+        for s in stats:
+            assert s.b_density == s.b_nnz / (c * c)
+        assert stats[-1].b_nnz == np.count_nonzero(bm.B)
 
     def test_one_mdl_call_per_sweep(self, graph):
         """The tracing probe's contract: start + one MDL call per sweep."""
